@@ -24,7 +24,7 @@ def main() -> int:
     print("default solve (eta_max = 10, step = 1e-3):")
     print(f"  s* = f''(0) = {result.s_star:.9f}")
     print(f"  residual |f'(eta_max) - 1| = {result.residual:.2e}")
-    print(f"  bisection iterations = {result.iterations}")
+    print(f"  search passes = {result.iterations}")
 
     print()
     print("sensitivity to the infinity stand-in (same step):")

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exact import as_rational
 from .hpm import HpmConfig, HpmSeries, build_series, series_to_document
@@ -61,28 +61,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in {"0", "false", "no", "off"}:
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# Converters used when a --config file supplies a value for a flag.
-_CONFIG_CONVERTERS: dict[str, Callable] = {
-    "order": int,
-    "domain_length": str,
-    "epsilon": str,
-    "format": str,
-    "out": str,
-    "eta_max": float,
-    "step": float,
-    "tol": float,
-    "bracket": _parse_pair,
-    "trajectory_out": str,
-    "grid": _parse_grid,
-    "probe": float,
-    "csv": str,
-    "svg": str,
-    "y_window": _parse_pair,
-    "with_theta": _parse_bool,
-    "stamp": _parse_bool,
-}
 
 
 def _add_series_flags(parser: argparse.ArgumentParser) -> None:
@@ -193,7 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_series, p_shoot, p_compare, p_figure):
         p.add_argument("--config", help="flat key=value file overriding flag defaults")
+        p.set_defaults(command_parser=p)
     return parser
+
+
+# Namespace entries that are not flags and so cannot come from a config file.
+_NOT_CONFIGURABLE = {"subcommand", "handler", "command_parser", "config"}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -210,21 +193,25 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Overlay config-file values onto flags the user did not pass explicitly."""
-    if not args.config:
-        return
-    explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """Config-file values keyed by flag destination, to become parser defaults.
+
+    argparse converts string defaults with the flag's ``type=`` when the flag
+    is absent, so only the on/off flags need converting here.
+    """
+    defaults = {}
     for key, raw in _load_config_file(args.config).items():
         dest = key.replace("-", "_")
-        if dest not in _CONFIG_CONVERTERS or not hasattr(args, dest):
+        if dest not in vars(args) or dest in _NOT_CONFIGURABLE:
             raise ValueError(f"unknown config key {key!r}")
-        if f"--{key.replace('_', '-')}" in explicit:
-            continue
-        try:
-            setattr(args, dest, _CONFIG_CONVERTERS[dest](raw))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
+        if isinstance(getattr(args, dest), bool):
+            try:
+                defaults[dest] = _parse_bool(raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        else:
+            defaults[dest] = raw
+    return defaults
 
 
 def _stamp_lines(args: argparse.Namespace) -> tuple[str, ...]:
@@ -293,7 +280,7 @@ def run_shoot(args: argparse.Namespace) -> int:
     result = solve_shooting(settings)
     print(f"s* = {result.s_star:.7f}  (f''(0) from shooting, eta_max = {settings.eta_max:g})")
     print(f"residual |f'(eta_max) - 1| = {result.residual:.3e}  (tol {settings.shoot_tol:g})")
-    print(f"bisection iterations = {result.iterations}")
+    print(f"search passes = {result.iterations}")
     if args.trajectory_out:
         write_trajectory_csv(result.trajectory, args.trajectory_out, _stamp_lines(args))
         print(f"trajectory written to {args.trajectory_out}")
@@ -318,17 +305,25 @@ def run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # config values become defaults, so a flag given on the command line
+        # wins however it is spelled, abbreviations included
+        args.command_parser.set_defaults(**_config_defaults(args))
+        args = parser.parse_args(argv)
+    args.raw_argv = argv
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
-    args.raw_argv = argv
-    try:
-        _apply_config(args, argv)
-        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

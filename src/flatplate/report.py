@@ -10,6 +10,7 @@ value comes from shooting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -86,6 +87,8 @@ def compare(
     The probe deviation is evaluated only when the probe lies inside the
     grid range; callers see None otherwise.
     """
+    if not math.isfinite(probe_eta):
+        raise ValueError(f"probe eta must be finite, got {probe_eta!r}")
     eta = grid.points()
     fprime_series = series.partial_sum("f").derivative()
     traj = shot.trajectory

@@ -1,12 +1,18 @@
 """Reference numerical solution of the boundary-layer system.
 
 The momentum equation f''' + (1/2) f f'' = 0 is integrated as a first-order
-system with classical fixed-step RK4, and the unknown wall curvature
-s = f''(0) is found by shooting: bisection on the defect
-g(s) = f'(eta_max; s) - 1 down to a bracket width of 1e-12, then a single
-secant polish.  Everything is deterministic; there is no adaptive stepping
-and no library solver, so convergence order and reproducibility are
-testable properties rather than implementation accidents.
+system with classical fixed-step RK4.  The unknown wall curvature
+s = f''(0) comes from Toepfer's scaling: f(eta) = a F(a eta) solves the
+equation for every a > 0, so one forward march of F with F''(0) = 1 finds
+the a for which f'(eta_max) = 1, at any finite eta_max, and s = a^3.  RK4
+commutes with that scaling, so a march at step h is f integrated at step
+h/a rather than h; one integration at the caller's step and one Newton step,
+whose slope the scaling also gives, move s onto the root of the caller's
+discrete problem.  There is no root-finding loop over full integrations; a
+last integration gives the trajectory and the far-boundary residual.
+Everything is deterministic; there is no adaptive stepping and no library
+solver, so convergence order and reproducibility are testable properties
+rather than implementation accidents.
 
 The temperature profile never needs a second shooting loop: the theta
 equation is linear in theta, so theta' = theta'(0) exp(-(1/(2 eps)) int f)
@@ -31,8 +37,9 @@ from ._format import sig9
 # through it quickly while physical trajectories stay below 1.
 DIVERGENCE_LIMIT = 1.0e6
 
-# Bisection runs until the bracket is narrower than this, then one secant step.
-BISECTION_WIDTH = 1.0e-12
+# Upper bound on eta_max/step and on the steps of the scaled march.  A stored
+# trajectory peaks at about 160 bytes per step, so one run stays near 160 MB.
+MAX_STEPS = 10**6
 
 RhsFunc = Callable[[float, float, float], float]
 
@@ -60,7 +67,7 @@ class BracketError(ShootingError):
 
 
 class ConvergenceError(ShootingError):
-    """Root found but the far-boundary residual exceeds the tolerance."""
+    """The scaled march failed, or the far-boundary residual exceeds the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,21 @@ class IntegratorSettings:
     bracket: tuple[float, float] = (0.1, 1.0)
 
     def __post_init__(self):
+        for name in ("eta_max", "step", "shoot_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not all(math.isfinite(end) for end in self.bracket):
+            raise ValueError(f"bracket endpoints must be finite, got {self.bracket}")
         if not self.eta_max > 0:
             raise ValueError(f"eta_max must be > 0, got {self.eta_max}")
         if not 0 < self.step <= self.eta_max:
             raise ValueError(f"step must satisfy 0 < step <= eta_max, got {self.step}")
+        if self.eta_max / self.step > MAX_STEPS:
+            raise ValueError(
+                f"eta_max/step = {self.eta_max / self.step:.3g} exceeds the budget of "
+                f"{MAX_STEPS} steps"
+            )
         if not self.shoot_tol > 0:
             raise ValueError(f"shoot_tol must be > 0, got {self.shoot_tol}")
         lo, hi = self.bracket
@@ -104,7 +122,7 @@ class ShootingResult:
     s_star: float
     trajectory: Trajectory
     residual: float
-    iterations: int
+    iterations: int  # RK4 passes the search for s* made: the march and one integration
     eta_max_used: float
 
 
@@ -166,100 +184,102 @@ def integrate_blasius(
     return Trajectory(np.array(etas), np.array(fs), np.array(fps), np.array(fpps))
 
 
-def _final_fp(s: float, settings: IntegratorSettings, rhs: RhsFunc) -> float:
-    """f'(eta_max; s) without storing the trajectory (shooting inner loop)."""
-    f, fp, fpp = 0.0, 0.0, float(s)
-    eta = 0.0
-    for h in _steps(settings):
-        f, fp, fpp = _rk4_step(f, fp, fpp, h, rhs)
-        eta += h
-        if abs(fpp) > DIVERGENCE_LIMIT or not (
-            math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)
-        ):
-            raise DivergenceError(eta, s)
-    return fp
+def _scaled_root(settings: IntegratorSettings) -> float:
+    """s* from one march of F with (F, F', F'')(0) = (0, 0, 1), storing nothing.
+
+    f(eta) = a F(a eta) solves the momentum equation with f''(0) = a^3, so
+    f'(eta_max) = 1 becomes (xi/eta_max)^2 F'(xi) = 1 at xi = a eta_max.  The
+    left side grows without bound, so the march ends after about
+    a eta_max / step steps.  The root inside the last step is bisected on the
+    cubic Hermite interpolant of F' built from F' and F'' at its two ends.
+    """
+    eta_max, h = settings.eta_max, settings.step
+    xi, F, Fp, Fpp = 0.0, 0.0, 0.0, 1.0
+    for _ in range(MAX_STEPS):
+        F1, Fp1, Fpp1 = _rk4_step(F, Fp, Fpp, h, blasius_rhs)
+        reach = (xi + h) / eta_max
+        if not reach * reach * Fp1 < 1.0:
+            break
+        xi, F, Fp, Fpp = xi + h, F1, Fp1, Fpp1
+    else:
+        raise ConvergenceError(
+            f"the scaled march needs more than {MAX_STEPS} steps at "
+            f"eta_max = {eta_max:g}, step = {h:g}"
+        )
+    if not math.isfinite(Fp1):
+        raise ConvergenceError(
+            f"the scaled march overflowed at xi = {xi + h:.6g}; step = {h:g} is too coarse"
+        )
+
+    def defect(x: float) -> float:
+        t = (x - xi) / h
+        fp = (
+            (2.0 * t - 3.0) * t * t * (Fp - Fp1)
+            + Fp
+            + h * t * ((t - 1.0) ** 2 * Fpp + t * (t - 1.0) * Fpp1)
+        )
+        return (x / eta_max) ** 2 * fp - 1.0
+
+    lo, hi = xi, xi + h
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if defect(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return (mid / eta_max) ** 3
 
 
-def solve_shooting(
-    settings: IntegratorSettings = IntegratorSettings(), rhs: RhsFunc = blasius_rhs
-) -> ShootingResult:
+def _describe_probe(s: float, settings: IntegratorSettings) -> str:
+    """g(s) = f'(eta_max; s) - 1 from a full integration, or where it diverged."""
+    try:
+        return f"g({s:.6g}) = {integrate_blasius(s, settings).fp[-1] - 1.0:+.6g}"
+    except DivergenceError as exc:
+        return f"g({s:.6g}) diverged at eta = {exc.eta:.4g}"
+
+
+def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> ShootingResult:
     """Find s = f''(0) such that f'(eta_max) = 1.
 
-    Endpoint probes that diverge are pulled toward the bracket interior; if
-    that empties the bracket, or the surviving endpoints do not change the
-    sign of g(s) = f'(eta_max) - 1, a BracketError reports the probed values.
+    One scaled march (see ``_scaled_root``) gives s* up to the O(step^4)
+    gap between its step and the caller's.  One integration at that s, with
+    nothing stored, and one Newton step on g(s) = f'(eta_max; s) - 1 close
+    the gap, with g'(s) = (2 f'(eta_max) + eta_max f''(eta_max)) / (3 s)
+    from the scaling; one more integration gives the trajectory and the
+    residual.  g is
+    increasing in s, so the bracket holds a sign change exactly when it
+    contains s*; otherwise a BracketError reports g at both endpoints.
     """
-
-    def g(s: float) -> float:
-        return _final_fp(s, settings, rhs) - 1.0
-
-    lo, hi = settings.bracket
-    g_lo = g_hi = None
-    divergences: list[str] = []
-    for _ in range(60):
-        if lo >= hi:
-            break
-        width = hi - lo
-        if g_lo is None:
-            try:
-                g_lo = g(lo)
-            except DivergenceError as exc:
-                divergences.append(f"s={lo:.6g} diverged at eta={exc.eta:.4g}")
-                lo += 0.25 * width
-                continue
-        if g_hi is None:
-            try:
-                g_hi = g(hi)
-            except DivergenceError as exc:
-                divergences.append(f"s={hi:.6g} diverged at eta={exc.eta:.4g}")
-                hi -= 0.25 * width
-                continue
-        break
-    if g_lo is None or g_hi is None or lo >= hi:
-        raise BracketError(
-            "bracket emptied while avoiding divergent probes: " + "; ".join(divergences)
+    s_star = _scaled_root(settings)
+    f, fp_end, fpp_end = 0.0, 0.0, s_star
+    for h in _steps(settings):  # integrate_blasius without storing the trajectory
+        f, fp_end, fpp_end = _rk4_step(f, fp_end, fpp_end, h, blasius_rhs)
+    slope = (2.0 * fp_end + settings.eta_max * fpp_end) / (3.0 * s_star)
+    if not (math.isfinite(fp_end) and slope > 0.0):
+        raise ConvergenceError(
+            f"g'(s) = {slope:.3g} at s = {s_star:.6g} is not positive; "
+            f"step = {settings.step:g} is too coarse"
         )
-    if g_lo * g_hi > 0:
+    s_star -= (fp_end - 1.0) / slope
+    lo, hi = settings.bracket
+    if not lo <= s_star <= hi:
         raise BracketError(
             f"no sign change on bracket [{lo:.6g}, {hi:.6g}]: "
-            f"g({lo:.6g}) = {g_lo:+.6g}, g({hi:.6g}) = {g_hi:+.6g}"
+            f"{_describe_probe(lo, settings)}, {_describe_probe(hi, settings)} "
+            f"(the root is s* = {s_star:.9g})"
         )
-
-    iterations = 0
-    s_best, g_best = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        iterations += 1
-        if abs(g_mid) < abs(g_best):
-            s_best, g_best = mid, g_mid
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if g_lo * g_mid < 0:
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-
-    # one secant polish across the final bracket
-    if g_hi != g_lo:
-        s_sec = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g_sec = g(s_sec)
-        iterations += 1
-        if abs(g_sec) < abs(g_best):
-            s_best, g_best = s_sec, g_sec
-
-    residual = abs(g_best)
+    trajectory = integrate_blasius(s_star, settings)
+    residual = abs(float(trajectory.fp[-1]) - 1.0)
     if residual > settings.shoot_tol:
         raise ConvergenceError(
             f"far-boundary residual {residual:.3g} exceeds shoot_tol {settings.shoot_tol:.3g}"
         )
-    trajectory = integrate_blasius(s_best, settings, rhs)
     return ShootingResult(
-        s_star=s_best,
+        s_star=s_star,
         trajectory=trajectory,
         residual=residual,
-        iterations=iterations,
+        iterations=2,
         eta_max_used=settings.eta_max,
     )
 

@@ -96,6 +96,17 @@ class TestShootCommand:
         assert code == 2
         assert "step" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--eta-max", "inf"), ("--eta-max", "nan"), ("--tol", "inf"),
+         ("--bracket=-inf,1",), ("--step", "1e-9")],
+    )
+    def test_unusable_settings_exit_2_with_one_line(self, capsys, flags):
+        code, out, err = run(capsys, "shoot", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_summary_contains_headline_values(self, capsys, tmp_path):
@@ -112,6 +123,13 @@ class TestCompareCommand:
                            "--eta-max", "6", "--step", "0.01")
         assert code == 0
         assert "not evaluated" in out and "probe" in out
+
+    @pytest.mark.parametrize("probe", ["nan", "inf", "-inf"])
+    def test_nonfinite_probe_exit_2(self, capsys, probe):
+        code, _, err = run(capsys, "compare", f"--probe={probe}",
+                           "--eta-max", "6", "--step", "0.01")
+        assert code == 2
+        assert err.startswith("error: probe") and err.count("\n") == 1
 
     def test_probe_deviation_reported(self, capsys):
         code, out, _ = run(capsys, "compare", "--probe", "10")
@@ -175,6 +193,35 @@ class TestConfigFile:
         code, out, _ = run(capsys, "series", "--config", str(cfg), "--order", "1")
         assert code == 0
         assert "f1 =" in out
+
+    def test_abbreviated_flag_beats_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta-max=12\n")
+        code, out, _ = run(capsys, "shoot", "--config", str(cfg), "--eta-m", "8")
+        assert code == 0
+        assert "eta_max = 8)" in out
+
+    def test_config_value_is_converted_by_the_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta-max=6\nstep=0.01\nbracket=0.2,0.9\n")
+        code, out, _ = run(capsys, "shoot", "--config", str(cfg))
+        assert code == 0
+        assert "eta_max = 6)" in out
+
+    def test_config_switch(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("with-theta=yes\neta-max=6\nstep=0.01\n")
+        csv_path = tmp_path / "theta.csv"
+        code, _, _ = run(capsys, "compare", "--config", str(cfg), "--csv", str(csv_path))
+        assert code == 0
+        assert csv_path.read_text().splitlines()[0].endswith("theta_numerical,theta_hpm")
+
+    def test_bad_config_switch(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stamp=maybe\n")
+        code, _, err = run(capsys, "shoot", "--config", str(cfg))
+        assert code == 2
+        assert "stamp" in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

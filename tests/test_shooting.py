@@ -1,7 +1,9 @@
 """Numerical solver: degenerate closed forms, convergence, and profile shape.
 
 The frozen value 0.9915420322 for f'(5) at the quoted slope comes from a
-fine-step (1e-4) RK4 run performed as an independent oracle.
+fine-step (1e-4) RK4 run performed as an independent oracle.  The scaled
+search in solve_shooting is checked against a plain bisection over full
+integrations and against the literature value of f''(0).
 """
 
 import math
@@ -9,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from flatplate import shooting
 from flatplate.shooting import (
     BracketError,
+    ConvergenceError,
     DivergenceError,
     IntegratorSettings,
     integrate_blasius,
@@ -20,11 +24,23 @@ from flatplate.shooting import (
 )
 
 QUOTED_SLOPE = 0.3320574
+BOYD_SLOPE = 0.332057336215196  # Boyd 1999, "The Blasius function in the complex plane"
 
 
 def no_convection(f, fp, fpp):
     """Test hook: drop the nonlinear term so f''' = 0 and f' = s*eta."""
     return 0.0
+
+
+def bisect_far_boundary(settings, lo=0.1, hi=1.0):
+    """Oracle: bisection on g(s) = f'(eta_max; s) - 1 over full integrations."""
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if integrate_blasius(mid, settings).fp[-1] < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestSettings:
@@ -41,11 +57,21 @@ class TestSettings:
             {"step": 20.0},
             {"shoot_tol": 0.0},
             {"bracket": (1.0, 0.5)},
+            {"eta_max": math.inf},
+            {"eta_max": math.nan},
+            {"step": math.nan},
+            {"shoot_tol": math.inf},
+            {"bracket": (-math.inf, 1.0)},
+            {"bracket": (0.1, math.nan)},
+            {"eta_max": 10.0, "step": 10.0 / (shooting.MAX_STEPS + 1)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorSettings(**kwargs)
+
+    def test_step_budget_is_inclusive(self):
+        IntegratorSettings(eta_max=1.0, step=1.0 / shooting.MAX_STEPS)
 
 
 class TestIntegrator:
@@ -104,13 +130,39 @@ class TestShooting:
     def test_default_solution(self, default_shot):
         assert default_shot.s_star == pytest.approx(QUOTED_SLOPE, abs=1e-6)
         assert default_shot.residual <= 1e-8
-        assert default_shot.iterations > 0
+        assert default_shot.iterations == 2
         assert default_shot.eta_max_used == 10.0
 
-    def test_linear_problem_recovers_reciprocal_length(self):
-        settings = IntegratorSettings(eta_max=5.0, step=1e-2)
-        result = solve_shooting(settings, rhs=no_convection)
-        assert result.s_star == pytest.approx(0.2, abs=1e-12)
+    @pytest.mark.parametrize(
+        "eta_max, step", [(5.0, 1e-2), (2.0, 1e-2), (10.0, 0.05), (10.0, 0.1)]
+    )
+    def test_agrees_with_bisection_oracle(self, eta_max, step):
+        # the march runs at a step the caller's grid does not use; at coarse
+        # steps that gap alone would leave a residual above the default tol
+        settings = IntegratorSettings(eta_max=eta_max, step=step)
+        result = solve_shooting(settings)
+        assert abs(result.s_star - bisect_far_boundary(settings)) <= 1e-10
+        assert result.residual <= 1e-10
+
+    def test_literature_value(self):
+        result = solve_shooting(IntegratorSettings(eta_max=15.0, step=1e-3))
+        assert abs(result.s_star - BOYD_SLOPE) <= 1e-12
+
+    def test_march_step_budget(self, monkeypatch):
+        # a short domain needs a long march: xi = a*eta_max with a ~ eta_max**(-1/3)
+        monkeypatch.setattr(shooting, "MAX_STEPS", 10)
+        with pytest.raises(ConvergenceError):
+            solve_shooting(IntegratorSettings(eta_max=1e-3, step=1e-4))
+
+    def test_overflowing_march_raises(self):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            solve_shooting(IntegratorSettings(eta_max=1e100, step=1e100))
+
+    @pytest.mark.parametrize("step", [1.0, 2.0])
+    def test_too_coarse_step_raises(self, step):
+        # step 1 lands on a residual above tol, step 2 on a negative g'(s)
+        with pytest.raises(ConvergenceError):
+            solve_shooting(IntegratorSettings(step=step))
 
     def test_no_sign_change_reports_probes(self):
         with pytest.raises(BracketError) as err:
@@ -126,6 +178,11 @@ class TestShooting:
     def test_all_divergent_bracket_empties(self):
         with pytest.raises(BracketError):
             solve_shooting(IntegratorSettings(bracket=(-10.0, -5.0)))
+
+    def test_divergent_probes_are_reported(self):
+        with pytest.raises(BracketError) as err:
+            solve_shooting(IntegratorSettings(eta_max=5.0, step=1e-2, bracket=(-10.0, -5.0)))
+        assert "g(-10) diverged" in str(err.value)
 
     def test_shooting_function_is_increasing(self):
         settings = IntegratorSettings()
