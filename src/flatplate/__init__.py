@@ -29,7 +29,6 @@ from .hpm import (
 )
 from .report import ComparisonReport, Grid, compare, emit_csv, emit_svg_figure
 from .shooting import (
-    BracketError,
     ConvergenceError,
     DivergenceError,
     IntegratorSettings,
@@ -62,7 +61,6 @@ __all__ = [
     "ShootingResult",
     "ShootingError",
     "DivergenceError",
-    "BracketError",
     "ConvergenceError",
     "blasius_rhs",
     "integrate_blasius",

@@ -8,13 +8,15 @@ Four subcommands: ``series`` (exact correction polynomials), ``shoot``
 Data outputs contain no timestamps, so identical invocations are
 bit-identical; ``--stamp`` opts into metadata comment lines.  A ``--config``
 file of flat key=value pairs can override defaults; explicit flags win over
-the config file.
+the config file.  Values that start with a minus sign may follow their flag
+after a space (``--grid -1:5:0.1``, ``--probe -inf``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -32,6 +34,11 @@ from .shooting import (
 _EXIT_CODES_HELP = (
     "exit codes: 0 success, 2 argument error, 3 solver failure, 4 I/O failure"
 )
+
+# Arguments argparse must read as values, not as flags: every number, range
+# or pair that starts with a minus sign (-1:5:0.1, -1,2, -.5, -inf, -nan).
+# No flag name starts this way.
+_NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -83,13 +90,6 @@ def _add_shoot_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta-max", type=float, default=10.0, help="truncation of infinity")
     parser.add_argument("--step", type=float, default=1.0e-3, help="fixed RK4 step")
     parser.add_argument("--tol", type=float, default=1.0e-8, help="far-boundary residual tolerance")
-    parser.add_argument(
-        "--bracket",
-        type=_parse_pair,
-        default=(0.1, 1.0),
-        metavar="LO,HI",
-        help="initial bracket for f''(0)",
-    )
 
 
 def _add_compare_flags(parser: argparse.ArgumentParser, svg_required: bool) -> None:
@@ -172,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_series, p_shoot, p_compare, p_figure):
         p.add_argument("--config", help="flat key=value file overriding flag defaults")
         p.set_defaults(command_parser=p)
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 
@@ -232,9 +233,7 @@ def _series_from_args(args: argparse.Namespace) -> HpmSeries:
 
 
 def _settings_from_args(args: argparse.Namespace) -> IntegratorSettings:
-    return IntegratorSettings(
-        eta_max=args.eta_max, step=args.step, shoot_tol=args.tol, bracket=args.bracket
-    )
+    return IntegratorSettings(eta_max=args.eta_max, step=args.step, shoot_tol=args.tol)
 
 
 def _render_series(series: HpmSeries, fmt: str) -> str:
@@ -326,6 +325,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # the series, or a power of eta, leaves the float range
+        print(f"error: out of float range: {exc}", file=sys.stderr)
         return 2
     except ShootingError as exc:
         print(f"shooting failed: {exc}", file=sys.stderr)

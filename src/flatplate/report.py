@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._format import sig9
+from ._format import write_csv
 from .hpm import HpmSeries
-from .shooting import ShootingResult, theta_profile
+from .shooting import MAX_STEPS, ShootingResult, theta_profile
 
 # Quoted 7-digit wall-slope value the numerical result is checked against in
 # summaries; the matching quoted series value 0.349 is reproduced by rounding.
@@ -30,23 +30,39 @@ REFERENCE_WALL_SLOPE = 0.3320574
 def round_half_up(value: float, decimals: int) -> str:
     """Decimal string of ``value`` rounded half-up to ``decimals`` places."""
     quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    # a finite float has at most 309 integer digits; the default precision of 28
+    # makes quantize fail from 1e25 up
+    context = Context(prec=309 + decimals)
+    return str(
+        Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP, context=context)
+    )
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform eta grid; stop must be an integer number of steps from start."""
+    """Uniform eta grid; stop must be an integer number of steps from start.
+
+    At most MAX_STEPS points, each of which ``compare`` evaluates one by one.
+    """
 
     start: float = 0.0
     stop: float = 12.0
     step: float = 0.05
 
     def __post_init__(self):
+        for name in ("start", "stop", "step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"grid {name} must be finite, got {value!r}")
         if not self.start < self.stop:
             raise ValueError(f"grid must satisfy start < stop, got {self.start}..{self.stop}")
         if not self.step > 0:
             raise ValueError(f"grid step must be > 0, got {self.step}")
         span = (self.stop - self.start) / self.step
+        if not span < MAX_STEPS - 0.5:  # points() makes round(span) + 1 points
+            raise ValueError(
+                f"grid of {span + 1:.3g} points exceeds the budget of {MAX_STEPS} points"
+            )
         if abs(span - round(span)) > 1.0e-6:
             raise ValueError(
                 f"grid stop {self.stop} is not reachable from {self.start} in steps of {self.step}"
@@ -65,7 +81,6 @@ class ComparisonReport:
     probe_eta: float
     s_numerical: float
     s_hpm_exact: Fraction
-    s_hpm_float: float
     domain_length: float
     extrapolated_from: float | None  # eta_max, when the grid runs past the trajectory
     theta_rows: np.ndarray | None = None  # (n, 2): theta_numerical, theta_hpm
@@ -118,6 +133,7 @@ def compare(
         theta_rows = np.column_stack([theta_num, theta_hpm])
 
     s_hpm_exact = 2 * series.partial_sum("f").coefficient(2)
+    eta_max = float(traj.eta[-1])  # integrate_blasius pins the last node to eta_max
     return ComparisonReport(
         rows=rows,
         max_dev_inside=max_dev_inside,
@@ -125,28 +141,20 @@ def compare(
         probe_eta=probe_eta,
         s_numerical=shot.s_star,
         s_hpm_exact=s_hpm_exact,
-        s_hpm_float=float(s_hpm_exact),
         domain_length=L,
-        extrapolated_from=shot.eta_max_used if grid.stop > shot.eta_max_used else None,
+        extrapolated_from=eta_max if grid.stop > eta_max else None,
         theta_rows=theta_rows,
     )
 
 
 def emit_csv(report: ComparisonReport, path, stamp_lines: Sequence[str] = ()) -> None:
     """Write the gridded profiles: eta,fprime_numerical,fprime_hpm (+ theta
-    columns when present), >= 9 significant digits, LF endings."""
-    header = "eta,fprime_numerical,fprime_hpm"
+    columns when present), in the CSV format of ``write_csv``."""
+    header, rows = "eta,fprime_numerical,fprime_hpm", report.rows
     if report.theta_rows is not None:
         header += ",theta_numerical,theta_hpm"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in stamp_lines:
-            handle.write(f"# {line}\n")
-        handle.write(header + "\n")
-        for i, (eta, f_num, f_hpm) in enumerate(report.rows):
-            cells = [sig9(eta), sig9(f_num), sig9(f_hpm)]
-            if report.theta_rows is not None:
-                cells += [sig9(report.theta_rows[i, 0]), sig9(report.theta_rows[i, 1])]
-            handle.write(",".join(cells) + "\n")
+        rows = np.column_stack([rows, report.theta_rows])
+    write_csv(path, header, rows, stamp_lines)
 
 
 # -- SVG figure ----------------------------------------------------------------
@@ -157,6 +165,16 @@ _MARGIN_TOP = 18.0
 _MARGIN_BOTTOM = 46.0
 _WIDTH = 640.0
 _HEIGHT = 440.0
+_MAX_TICKS = 16  # per axis, whatever the span of the grid or the y window
+
+
+def _tick_step(span: float, step: float) -> float:
+    """``step``, or the smallest 1-2-5 step above it that leaves fewer than
+    _MAX_TICKS intervals on ``span``."""
+    if span / step < _MAX_TICKS:
+        return step
+    magnitude = 10.0 ** math.floor(math.log10(span / _MAX_TICKS))
+    return next(m * magnitude for m in (1.0, 2.0, 5.0, 10.0) if span / (m * magnitude) < _MAX_TICKS)
 
 
 def emit_svg_figure(
@@ -171,8 +189,8 @@ def emit_svg_figure(
     if len(report.rows) == 0:
         raise ValueError("cannot plot an empty report")
     y_lo, y_hi = y_window
-    if not y_lo < y_hi:
-        raise ValueError(f"y window must satisfy low < high, got {y_window}")
+    if not (y_lo < y_hi and math.isfinite(y_hi - y_lo)):
+        raise ValueError(f"y window must be finite with low < high, got {y_window}")
     eta = report.rows[:, 0]
     x_lo, x_hi = float(eta[0]), float(eta[-1])
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -187,9 +205,9 @@ def emit_svg_figure(
     def polyline_points(values: np.ndarray) -> str:
         return " ".join(f"{x_px(x):.2f},{y_px(v):.2f}" for x, v in zip(eta, values))
 
-    x_tick_step = 1.0 if (x_hi - x_lo) <= 15.0 else 2.0
+    x_tick_step = _tick_step(x_hi - x_lo, 1.0 if (x_hi - x_lo) <= 15.0 else 2.0)
     x_ticks = [x_lo + i * x_tick_step for i in range(int((x_hi - x_lo) / x_tick_step) + 1)]
-    y_tick_step = 0.2
+    y_tick_step = _tick_step(y_hi - y_lo, 0.2)
     first = np.ceil(y_lo / y_tick_step - 1.0e-9) * y_tick_step
     y_ticks = list(np.arange(first, y_hi + 1.0e-9, y_tick_step))
 
@@ -292,15 +310,14 @@ def summary_lines(report: ComparisonReport) -> list[str]:
             f"  deviation at probe eta = {report.probe_eta:g}: not evaluated "
             f"(probe outside grid [{eta[0]:g}, {eta[-1]:g}])"
         )
+    s_hpm = float(report.s_hpm_exact)
     lines.append(
         f"  wall slope f''(0): numerical = {report.s_numerical:.7f} "
         f"(reference {REFERENCE_WALL_SLOPE}), "
-        f"hpm = {report.s_hpm_float:.7f} -> {round_half_up(report.s_hpm_float, 3)} at 3 decimals "
+        f"hpm = {s_hpm:.7f} -> {round_half_up(s_hpm, 3)} at 3 decimals "
         f"(exact {report.s_hpm_exact})"
     )
-    lines.append(
-        f"  |f''(0) gap| = {abs(report.s_hpm_float - report.s_numerical):.7f}"
-    )
+    lines.append(f"  |f''(0) gap| = {abs(s_hpm - report.s_numerical):.7f}")
     if report.extrapolated_from is not None:
         lines.append(
             f"  note: numerical f' extrapolated as 1.0 beyond eta_max = "

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._format import sig9
+from ._format import write_csv
 
 # Integration aborts once |f''| exceeds this; diverging probe slopes blow up
 # through it quickly while physical trajectories stay below 1.
@@ -62,10 +62,6 @@ class DivergenceError(ShootingError):
         self.s = s
 
 
-class BracketError(ShootingError):
-    """The shooting bracket does not isolate a root."""
-
-
 class ConvergenceError(ShootingError):
     """The scaled march failed, or the far-boundary residual exceeds the tolerance."""
 
@@ -75,15 +71,12 @@ class IntegratorSettings:
     eta_max: float = 10.0
     step: float = 1.0e-3
     shoot_tol: float = 1.0e-8
-    bracket: tuple[float, float] = (0.1, 1.0)
 
     def __post_init__(self):
         for name in ("eta_max", "step", "shoot_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not all(math.isfinite(end) for end in self.bracket):
-            raise ValueError(f"bracket endpoints must be finite, got {self.bracket}")
         if not self.eta_max > 0:
             raise ValueError(f"eta_max must be > 0, got {self.eta_max}")
         if not 0 < self.step <= self.eta_max:
@@ -95,9 +88,6 @@ class IntegratorSettings:
             )
         if not self.shoot_tol > 0:
             raise ValueError(f"shoot_tol must be > 0, got {self.shoot_tol}")
-        lo, hi = self.bracket
-        if not lo < hi:
-            raise ValueError(f"bracket must satisfy low < high, got {self.bracket}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,6 @@ class ShootingResult:
     trajectory: Trajectory
     residual: float
     iterations: int  # RK4 passes the search for s* made: the march and one integration
-    eta_max_used: float
 
 
 def _steps(settings: IntegratorSettings) -> list[float]:
@@ -231,14 +220,6 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     return (mid / eta_max) ** 3
 
 
-def _describe_probe(s: float, settings: IntegratorSettings) -> str:
-    """g(s) = f'(eta_max; s) - 1 from a full integration, or where it diverged."""
-    try:
-        return f"g({s:.6g}) = {integrate_blasius(s, settings).fp[-1] - 1.0:+.6g}"
-    except DivergenceError as exc:
-        return f"g({s:.6g}) diverged at eta = {exc.eta:.4g}"
-
-
 def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> ShootingResult:
     """Find s = f''(0) such that f'(eta_max) = 1.
 
@@ -247,9 +228,8 @@ def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> Shoot
     nothing stored, and one Newton step on g(s) = f'(eta_max; s) - 1 close
     the gap, with g'(s) = (2 f'(eta_max) + eta_max f''(eta_max)) / (3 s)
     from the scaling; one more integration gives the trajectory and the
-    residual.  g is
-    increasing in s, so the bracket holds a sign change exactly when it
-    contains s*; otherwise a BracketError reports g at both endpoints.
+    residual.  No initial guess is needed, so short domains such as
+    eta_max = 0.5 are solved like long ones.
     """
     s_star = _scaled_root(settings)
     f, fp_end, fpp_end = 0.0, 0.0, s_star
@@ -262,26 +242,13 @@ def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> Shoot
             f"step = {settings.step:g} is too coarse"
         )
     s_star -= (fp_end - 1.0) / slope
-    lo, hi = settings.bracket
-    if not lo <= s_star <= hi:
-        raise BracketError(
-            f"no sign change on bracket [{lo:.6g}, {hi:.6g}]: "
-            f"{_describe_probe(lo, settings)}, {_describe_probe(hi, settings)} "
-            f"(the root is s* = {s_star:.9g})"
-        )
     trajectory = integrate_blasius(s_star, settings)
     residual = abs(float(trajectory.fp[-1]) - 1.0)
     if residual > settings.shoot_tol:
         raise ConvergenceError(
             f"far-boundary residual {residual:.3g} exceeds shoot_tol {settings.shoot_tol:.3g}"
         )
-    return ShootingResult(
-        s_star=s_star,
-        trajectory=trajectory,
-        residual=residual,
-        iterations=2,
-        eta_max_used=settings.eta_max,
-    )
+    return ShootingResult(s_star=s_star, trajectory=trajectory, residual=residual, iterations=2)
 
 
 def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
@@ -306,14 +273,5 @@ def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path, stamp_lines: Sequence[str] = ()) -> None:
-    """CSV export: header eta,f,fp,fpp, one row per grid point, LF endings.
-
-    ``stamp_lines`` are prepended as '# ...' comments; by default there are
-    none, so identical trajectories serialize byte-identically.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in stamp_lines:
-            handle.write(f"# {line}\n")
-        handle.write("eta,f,fp,fpp\n")
-        for eta, f, fp, fpp in trajectory.samples():
-            handle.write(f"{sig9(eta)},{sig9(f)},{sig9(fp)},{sig9(fpp)}\n")
+    """CSV export: header eta,f,fp,fpp and one row per grid point (see ``write_csv``)."""
+    write_csv(path, "eta,f,fp,fpp", trajectory.samples(), stamp_lines)

@@ -1,8 +1,12 @@
 """Command-line behavior: flags, outputs, and the documented exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatplate.cli import main
 from flatplate.hpm import HpmConfig, build_series, series_from_document
@@ -76,20 +80,20 @@ class TestShootCommand:
         assert "s* = 0.3320573" in out
         assert "residual" in out
 
-    def test_bracket_without_sign_change(self, capsys):
-        code, _, err = run(capsys, "shoot", "--bracket", "0.5,0.6")
-        assert code == 3
-        assert "g(0.5)" in err and "g(0.6)" in err
-
     def test_trajectory_out(self, capsys, tmp_path):
         target = tmp_path / "traj.csv"
         code, _, _ = run(capsys, "shoot", "--eta-max", "2", "--step", "0.01",
-                         "--tol", "1e-6", "--bracket", "0.4,1.2",
-                         "--trajectory-out", str(target))
+                         "--tol", "1e-6", "--trajectory-out", str(target))
         assert code == 0
         lines = target.read_text().splitlines()
         assert lines[0] == "eta,f,fp,fpp"
         assert len(lines) == 1 + 201
+
+    @pytest.mark.parametrize("eta_max, slope", [("1", "1.0211569"), ("0.5", "2.0104570")])
+    def test_short_domain(self, capsys, eta_max, slope):
+        code, out, _ = run(capsys, "shoot", "--eta-max", eta_max)
+        assert code == 0
+        assert f"s* = {slope}" in out
 
     def test_invalid_settings_exit_2(self, capsys):
         code, _, err = run(capsys, "shoot", "--step", "0")
@@ -99,7 +103,7 @@ class TestShootCommand:
     @pytest.mark.parametrize(
         "flags",
         [("--eta-max", "inf"), ("--eta-max", "nan"), ("--tol", "inf"),
-         ("--bracket=-inf,1",), ("--step", "1e-9")],
+         ("--eta-max", "-inf"), ("--step", "1e-9")],
     )
     def test_unusable_settings_exit_2_with_one_line(self, capsys, flags):
         code, out, err = run(capsys, "shoot", *flags)
@@ -130,6 +134,42 @@ class TestCompareCommand:
                            "--eta-max", "6", "--step", "0.01")
         assert code == 2
         assert err.startswith("error: probe") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, code, text",
+        [
+            (("--grid", "-1:5:0.1"), 0, "eta in [-1, 5] (61 points)"),
+            (("--grid", "-.5:5:0.5"), 0, "eta in [-0.5, 5] (12 points)"),
+            (("--y-window", "-1,2"), 0, "written"),
+            (("--probe", "-1"), 0, "probe eta = -1:"),
+            (("--probe", "-inf"), 2, "error: probe eta must be finite"),
+            (("--probe", "-nan"), 2, "error: probe eta must be finite"),
+        ],
+    )
+    def test_negative_value_after_a_space(self, capsys, tmp_path, flags, code, text):
+        # argparse used to take these values for flags and exit 2 with
+        # "expected one argument"
+        fast = ("--eta-max", "6", "--step", "0.01", "--svg", str(tmp_path / "f.svg"))
+        got, out, err = run(capsys, "compare", *fast, *flags)
+        assert got == code
+        assert text in out + err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--grid", "0:inf:1"), ("--grid", "nan:1:1"), ("--grid", "0:12:1e-9"),
+         ("--y-window", "0,inf"), ("--y-window=-1e308,1e308",)],
+    )
+    def test_unusable_grid_or_window_exit_2_with_one_line(self, capsys, tmp_path, flags):
+        code, _, err = run(capsys, "compare", "--eta-max", "6", "--step", "0.01",
+                           "--svg", str(tmp_path / "f.svg"), *flags)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [("--domain-length", "1e-300"), ("--grid", "0:1e300:1e299")])
+    def test_float_overflow_exit_2_with_one_line(self, capsys, flags):
+        code, _, err = run(capsys, "compare", "--eta-max", "6", "--step", "0.01", *flags)
+        assert code == 2
+        assert err.startswith("error: out of float range") and err.count("\n") == 1
 
     def test_probe_deviation_reported(self, capsys):
         code, out, _ = run(capsys, "compare", "--probe", "10")
@@ -203,10 +243,10 @@ class TestConfigFile:
 
     def test_config_value_is_converted_by_the_flag_type(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta-max=6\nstep=0.01\nbracket=0.2,0.9\n")
-        code, out, _ = run(capsys, "shoot", "--config", str(cfg))
+        cfg.write_text("eta-max=6\nstep=0.01\ngrid=0:6:0.5\n")
+        code, out, _ = run(capsys, "compare", "--config", str(cfg))
         assert code == 0
-        assert "eta_max = 6)" in out
+        assert "eta in [0, 6] (13 points)" in out
 
     def test_config_switch(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -250,3 +290,77 @@ class TestHelp:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "series" in out and "figure" in out
+
+
+# Values every flag may receive besides its own cheap valid ones.
+HOSTILE = ("-1,2", "inf", "-inf", "nan", "0:inf:1", "0:12:1e-9", "1e-300", "abc", "", "-1", "0")
+
+
+def _values(*valid):
+    return st.sampled_from(valid + HOSTILE)
+
+
+# Output paths stay under the test's directory: the last two fail with exit 4.
+_PATHS = st.sampled_from(("{tmp}/out", "{tmp}/missing-dir/out", "{tmp}"))
+_SERIES_FLAGS = {
+    "--order": _values("0", "3", "6"),
+    "--domain-length": _values("5", "11/2", "1"),
+    "--epsilon": _values("1", "1/2", "10"),
+}
+_SHOOT_FLAGS = {
+    "--eta-max": _values("0.5", "1", "5", "10"),
+    "--step": _values("0.01", "0.05", "0.1", "1"),
+    "--tol": _values("1e-8", "1e-12"),
+    "--stamp": None,
+}
+_COMPARE_FLAGS = {
+    **_SERIES_FLAGS,
+    **_SHOOT_FLAGS,
+    "--grid": _values("0:6:0.5", "-1:5:0.1", "0:20000:100"),
+    "--probe": _values("10", "2.5"),
+    "--y-window": _values("-0.2,1.4", "-1,2", "0,1e8"),
+    "--with-theta": None,
+    "--csv": _PATHS,
+    "--svg": _PATHS,
+}
+FLAGS = {
+    "series": {**_SERIES_FLAGS, "--format": _values("json", "csv", "pretty"), "--out": _PATHS},
+    "shoot": {**_SHOOT_FLAGS, "--trajectory-out": _PATHS},
+    "compare": _COMPARE_FLAGS,
+    "figure": _COMPARE_FLAGS,
+}
+
+
+@st.composite
+def argv_for_main(draw):
+    """A subcommand and up to five of its flags, as --flag value or --flag=value."""
+    sub = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [sub]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[sub])), unique=True, max_size=5)):
+        values = FLAGS[sub][flag]
+        if values is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+        else:
+            argv += [flag, draw(values)]
+    return argv
+
+
+class TestMainFuzz:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("main-fuzz")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=argv_for_main())
+    @example(argv=["compare", "--grid", "0:inf:1"])
+    @example(argv=["compare", "--probe", "-inf"])
+    @example(argv=["series", "--domain-length", "1e-300"])
+    def test_exit_code_without_traceback(self, out_dir, argv):
+        argv = [arg.replace("{tmp}", str(out_dir)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 2, 3, 4}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

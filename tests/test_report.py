@@ -1,5 +1,6 @@
 """Comparison metrics, CSV layout, and the SVG figure."""
 
+import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from flatplate.report import Grid, compare, emit_csv, emit_svg_figure, round_half_up
+from flatplate.shooting import MAX_STEPS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -35,11 +37,25 @@ class TestGrid:
         assert pts[-1] == pytest.approx(12.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"start": 5.0, "stop": 5.0}, {"step": 0.0}, {"stop": 5.03, "step": 0.05}]
+        "kwargs",
+        [
+            {"start": 5.0, "stop": 5.0},
+            {"step": 0.0},
+            {"stop": 5.03, "step": 0.05},
+            {"start": math.nan},
+            {"stop": math.inf},
+            {"step": math.inf},
+            {"step": 1e-9},
+            {"start": -1e308, "stop": 1e308, "step": 1e300},
+            {"stop": float(MAX_STEPS), "step": 1.0},
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             Grid(**kwargs)
+
+    def test_point_budget_is_inclusive(self):
+        Grid(stop=float(MAX_STEPS - 1), step=1.0)
 
 
 class TestRoundHalfUp:
@@ -50,14 +66,18 @@ class TestRoundHalfUp:
         assert round_half_up(0.3485, 3) == "0.349"
         assert round_half_up(0.2, 3) == "0.200"
 
+    def test_large_magnitudes(self):
+        assert round_half_up(2.5e30, 1) == "2500000000000000000000000000000.0"
+        assert round_half_up(-1.0e300, 3).endswith("0000.000")
+
 
 class TestCompare:
     def test_exact_wall_slope(self, default_report):
         assert default_report.s_hpm_exact == Fraction(1348969, 3870720)
-        assert default_report.s_hpm_float == pytest.approx(0.348506, abs=1e-6)
+        assert float(default_report.s_hpm_exact) == pytest.approx(0.348506, abs=1e-6)
 
     def test_slope_gap(self, default_report):
-        gap = abs(default_report.s_hpm_float - default_report.s_numerical)
+        gap = abs(float(default_report.s_hpm_exact) - default_report.s_numerical)
         assert gap == pytest.approx(0.0164, abs=1e-3)
 
     def test_probe_deviation(self, default_report):
@@ -178,3 +198,29 @@ class TestSvg:
     def test_rejects_bad_window(self, tmp_path, default_report):
         with pytest.raises(ValueError):
             emit_svg_figure(default_report, tmp_path / "x.svg", y_window=(1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "window", [(0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_rejects_nonfinite_window(self, tmp_path, default_report, window):
+        with pytest.raises(ValueError, match="finite"):
+            emit_svg_figure(default_report, tmp_path / "x.svg", y_window=window)
+
+    @pytest.mark.parametrize(
+        "stop, step, window",
+        [(12.0, 0.05, (0.0, 2000.0)), (12.0, 0.05, (-1e300, 1e300)),
+         (20000.0, 100.0, (-0.2, 1.4)), (1e12, 1e10, (-1e8, 1e8))],
+    )
+    def test_tick_count_is_bounded(self, tmp_path, series_order3, default_shot,
+                                   stop, step, window):
+        report = compare(series_order3, default_shot, Grid(stop=stop, step=step))
+        out = tmp_path / "ticks.svg"
+        emit_svg_figure(report, out, y_window=window)
+        ticks = [
+            line for line in ET.parse(out).getroot().iter(f"{SVG_NS}line")
+            if line.get("stroke") == "#444"
+        ]
+        x_ticks = [t for t in ticks if t.get("x1") == t.get("x2")]
+        y_ticks = [t for t in ticks if t.get("y1") == t.get("y2")]
+        assert len(x_ticks) + len(y_ticks) == len(ticks)
+        assert 2 <= len(x_ticks) <= 16 and 2 <= len(y_ticks) <= 16

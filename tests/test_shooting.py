@@ -6,6 +6,7 @@ search in solve_shooting is checked against a plain bisection over full
 integrations and against the literature value of f''(0).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 
 from flatplate import shooting
 from flatplate.shooting import (
-    BracketError,
     ConvergenceError,
     DivergenceError,
     IntegratorSettings,
@@ -32,8 +32,11 @@ def no_convection(f, fp, fpp):
     return 0.0
 
 
-def bisect_far_boundary(settings, lo=0.1, hi=1.0):
-    """Oracle: bisection on g(s) = f'(eta_max; s) - 1 over full integrations."""
+def bisect_far_boundary(settings, lo=0.1, hi=4.0):
+    """Oracle: bisection on g(s) = f'(eta_max; s) - 1 over full integrations.
+
+    s* grows as eta_max shrinks (about 2.01 at eta_max = 0.5), so hi is 4.
+    """
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if integrate_blasius(mid, settings).fp[-1] < 1.0:
@@ -47,7 +50,8 @@ class TestSettings:
     def test_defaults(self):
         s = IntegratorSettings()
         assert s.eta_max == 10.0 and s.step == 1e-3
-        assert s.shoot_tol == 1e-8 and s.bracket == (0.1, 1.0)
+        assert s.shoot_tol == 1e-8
+        assert [f.name for f in dataclasses.fields(s)] == ["eta_max", "step", "shoot_tol"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,13 +60,13 @@ class TestSettings:
             {"step": 0.0},
             {"step": 20.0},
             {"shoot_tol": 0.0},
-            {"bracket": (1.0, 0.5)},
+            {"shoot_tol": -1.0e-8},
             {"eta_max": math.inf},
             {"eta_max": math.nan},
             {"step": math.nan},
             {"shoot_tol": math.inf},
-            {"bracket": (-math.inf, 1.0)},
-            {"bracket": (0.1, math.nan)},
+            {"step": math.inf},
+            {"shoot_tol": math.nan},
             {"eta_max": 10.0, "step": 10.0 / (shooting.MAX_STEPS + 1)},
         ],
     )
@@ -131,10 +135,11 @@ class TestShooting:
         assert default_shot.s_star == pytest.approx(QUOTED_SLOPE, abs=1e-6)
         assert default_shot.residual <= 1e-8
         assert default_shot.iterations == 2
-        assert default_shot.eta_max_used == 10.0
+        assert default_shot.trajectory.eta[-1] == 10.0
 
     @pytest.mark.parametrize(
-        "eta_max, step", [(5.0, 1e-2), (2.0, 1e-2), (10.0, 0.05), (10.0, 0.1)]
+        "eta_max, step",
+        [(5.0, 1e-2), (2.0, 1e-2), (10.0, 0.05), (10.0, 0.1), (1.0, 1e-2), (0.5, 1e-2)],
     )
     def test_agrees_with_bisection_oracle(self, eta_max, step):
         # the march runs at a step the caller's grid does not use; at coarse
@@ -163,26 +168,6 @@ class TestShooting:
         # step 1 lands on a residual above tol, step 2 on a negative g'(s)
         with pytest.raises(ConvergenceError):
             solve_shooting(IntegratorSettings(step=step))
-
-    def test_no_sign_change_reports_probes(self):
-        with pytest.raises(BracketError) as err:
-            solve_shooting(IntegratorSettings(bracket=(0.5, 0.6)))
-        message = str(err.value)
-        assert "no sign change" in message
-        assert "+" in message  # both probed values are positive and shown
-
-    def test_divergent_endpoint_is_shrunk_inward(self):
-        result = solve_shooting(IntegratorSettings(bracket=(-5.0, 1.0)))
-        assert result.s_star == pytest.approx(QUOTED_SLOPE, abs=1e-6)
-
-    def test_all_divergent_bracket_empties(self):
-        with pytest.raises(BracketError):
-            solve_shooting(IntegratorSettings(bracket=(-10.0, -5.0)))
-
-    def test_divergent_probes_are_reported(self):
-        with pytest.raises(BracketError) as err:
-            solve_shooting(IntegratorSettings(eta_max=5.0, step=1e-2, bracket=(-10.0, -5.0)))
-        assert "g(-10) diverged" in str(err.value)
 
     def test_shooting_function_is_increasing(self):
         settings = IntegratorSettings()
