@@ -14,7 +14,7 @@ report layer quantifies where the two agree and how violently the
 polynomial series departs outside its fitting interval.
 """
 
-from .exact import Rational, RationalPolynomial, as_rational
+from .exact import RationalPolynomial, as_rational
 from .hpm import (
     HpmConfig,
     HpmSeries,
@@ -35,7 +35,6 @@ from .shooting import (
     ShootingError,
     ShootingResult,
     Trajectory,
-    blasius_rhs,
     integrate_blasius,
     solve_shooting,
     theta_profile,
@@ -43,7 +42,6 @@ from .shooting import (
 )
 
 __all__ = [
-    "Rational",
     "RationalPolynomial",
     "as_rational",
     "HpmConfig",
@@ -62,7 +60,6 @@ __all__ = [
     "ShootingError",
     "DivergenceError",
     "ConvergenceError",
-    "blasius_rhs",
     "integrate_blasius",
     "solve_shooting",
     "theta_profile",

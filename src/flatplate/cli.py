@@ -23,7 +23,15 @@ from typing import Sequence
 
 from .exact import as_rational
 from .hpm import HpmConfig, HpmSeries, build_series, series_to_document
-from .report import Grid, compare, emit_csv, emit_svg_figure, round_half_up, summary_lines
+from .report import (
+    Grid,
+    check_y_window,
+    compare,
+    emit_csv,
+    emit_svg_figure,
+    round_half_up,
+    summary_lines,
+)
 from .shooting import (
     IntegratorSettings,
     ShootingError,
@@ -287,6 +295,7 @@ def run_shoot(args: argparse.Namespace) -> int:
 
 
 def run_compare(args: argparse.Namespace) -> int:
+    check_y_window(args.y_window)  # before the solves, whether or not a figure is asked for
     series = _series_from_args(args)
     settings = _settings_from_args(args)
     start, stop, step = args.grid

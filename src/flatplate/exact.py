@@ -14,9 +14,7 @@ comparison only; the rational path is the source of truth.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
-
-Rational = Fraction
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -71,36 +69,22 @@ class RationalPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
+        """``coeffs`` maps powers to coefficients; zero coefficients are dropped."""
         store: dict[int, Fraction] = {}
-        for power, coeff in items:
+        for power, coeff in (coeffs or {}).items():
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"polynomial power must be a non-negative integer, got {power!r}")
             c = as_rational(coeff)
-            if c != 0:
-                store[power] = store.get(power, Fraction(0)) + c
-        self._coeffs = {p: c for p, c in store.items() if c != 0}
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "RationalPolynomial":
-        return cls({0: value})
+            if c:
+                store[power] = c
+        self._coeffs = store
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "RationalPolynomial":
         return cls({power: coeff})
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def degree(self) -> int | None:
@@ -114,9 +98,6 @@ class RationalPolynomial:
         """Yield (power, coefficient) pairs in ascending power order."""
         return iter(sorted(self._coeffs.items()))
 
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
@@ -124,36 +105,26 @@ class RationalPolynomial:
             return NotImplemented
         out = dict(self._coeffs)
         for p, c in other._coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out[p] + c if p in out else c
         return RationalPolynomial(out)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            out[p] = out.get(p, Fraction(0)) - c
-        return RationalPolynomial(out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial({p: -c for p, c in self._coeffs.items()})
+        return self + other * -1
 
     def __mul__(self, other) -> "RationalPolynomial":
+        """Product with a polynomial, or with a Fraction or int scalar."""
         if isinstance(other, RationalPolynomial):
             out: dict[int, Fraction] = {}
             for p, a in self._coeffs.items():
                 for q, b in other._coeffs.items():
-                    out[p + q] = out.get(p + q, Fraction(0)) + a * b
+                    k = p + q
+                    out[k] = out[k] + a * b if k in out else a * b
             return RationalPolynomial(out)
         if isinstance(other, (Fraction, int)):
-            return self.scale(other)
+            return RationalPolynomial({p: c * other for p, c in self._coeffs.items()})
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale(self, factor: RationalLike) -> "RationalPolynomial":
-        f = as_rational(factor)
-        return RationalPolynomial({p: c * f for p, c in self._coeffs.items()})
 
     # -- calculus ------------------------------------------------------------
 
@@ -177,26 +148,25 @@ class RationalPolynomial:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _horner(self, x, convert: Callable[[RationalLike], Fraction | float]):
+        """Sparse Horner from the top power down; ``convert`` maps each
+        coefficient into the type of ``x``."""
+        terms = iter(sorted(self._coeffs.items(), reverse=True))
+        last, acc = next(terms, (0, 0))  # the zero polynomial evaluates to convert(0)
+        acc = convert(acc)
+        for power, coeff in terms:
+            acc = acc * x ** (last - power) + convert(coeff)
+            last = power
+        return acc * x**last
+
     def eval_exact(self, x: RationalLike) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        xr = as_rational(x)
-        acc = Fraction(0)
-        last: int | None = None
-        for power, coeff in sorted(self._coeffs.items(), reverse=True):
-            acc = coeff if last is None else acc * xr ** (last - power) + coeff
-            last = power
-        return acc if last is None else acc * xr**last
+        return self._horner(as_rational(x), as_rational)
 
     def eval_float(self, x: float) -> float:
         """Horner evaluation in float64.  Approximate: coefficients round
         to the nearest double before any arithmetic happens."""
-        xf = float(x)
-        acc = 0.0
-        last: int | None = None
-        for power, coeff in sorted(self._coeffs.items(), reverse=True):
-            acc = float(coeff) if last is None else acc * xf ** (last - power) + float(coeff)
-            last = power
-        return acc if last is None else acc * xf**last
+        return self._horner(float(x), float)
 
     # -- comparisons / display -----------------------------------------------
 

@@ -166,6 +166,12 @@ _MARGIN_BOTTOM = 46.0
 _WIDTH = 640.0
 _HEIGHT = 440.0
 _MAX_TICKS = 16  # per axis, whatever the span of the grid or the y window
+# Polyline y pixels are clamped to +-_Y_PX_LIMIT.  A narrow y window puts the
+# divergent tail up to ~1e302 px away, and such coordinates print as 300-digit
+# numbers.  The limit is above the default figure's largest coordinate (about
+# 2.2e5 px), and inside the frame a segment with one end in it moves by at
+# most plot height * plot width / limit, about 0.21 px.
+_Y_PX_LIMIT = 1.0e6
 
 
 def _tick_step(span: float, step: float) -> float:
@@ -175,6 +181,13 @@ def _tick_step(span: float, step: float) -> float:
         return step
     magnitude = 10.0 ** math.floor(math.log10(span / _MAX_TICKS))
     return next(m * magnitude for m in (1.0, 2.0, 5.0, 10.0) if span / (m * magnitude) < _MAX_TICKS)
+
+
+def check_y_window(y_window: tuple[float, float]) -> None:
+    """Raise ValueError unless the figure window is finite with low < high."""
+    y_lo, y_hi = y_window
+    if not (y_lo < y_hi and math.isfinite(y_hi - y_lo)):
+        raise ValueError(f"y window must be finite with low < high, got {y_window}")
 
 
 def emit_svg_figure(
@@ -188,9 +201,8 @@ def emit_svg_figure(
     """
     if len(report.rows) == 0:
         raise ValueError("cannot plot an empty report")
+    check_y_window(y_window)
     y_lo, y_hi = y_window
-    if not (y_lo < y_hi and math.isfinite(y_hi - y_lo)):
-        raise ValueError(f"y window must be finite with low < high, got {y_window}")
     eta = report.rows[:, 0]
     x_lo, x_hi = float(eta[0]), float(eta[-1])
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -203,7 +215,8 @@ def emit_svg_figure(
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     def polyline_points(values: np.ndarray) -> str:
-        return " ".join(f"{x_px(x):.2f},{y_px(v):.2f}" for x, v in zip(eta, values))
+        ys = np.clip(y_px(values), -_Y_PX_LIMIT, _Y_PX_LIMIT)
+        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(x_px(eta), ys))
 
     x_tick_step = _tick_step(x_hi - x_lo, 1.0 if (x_hi - x_lo) <= 15.0 else 2.0)
     x_ticks = [x_lo + i * x_tick_step for i in range(int((x_hi - x_lo) / x_tick_step) + 1)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,14 +40,6 @@ DIVERGENCE_LIMIT = 1.0e6
 # Upper bound on eta_max/step and on the steps of the scaled march.  A stored
 # trajectory peaks at about 160 bytes per step, so one run stays near 160 MB.
 MAX_STEPS = 10**6
-
-RhsFunc = Callable[[float, float, float], float]
-
-
-def blasius_rhs(f: float, fp: float, fpp: float) -> float:
-    """f''' for the momentum equation."""
-    return -0.5 * f * fpp
-
 
 class ShootingError(Exception):
     """Base class for solver failures."""
@@ -125,14 +117,14 @@ def _steps(settings: IntegratorSettings) -> list[float]:
     return steps
 
 
-def _rk4_step(f: float, fp: float, fpp: float, h: float, rhs: RhsFunc):
-    k1_f, k1_fp, k1_fpp = fp, fpp, rhs(f, fp, fpp)
+def _rk4_step(f: float, fp: float, fpp: float, h: float):
+    k1_f, k1_fp, k1_fpp = fp, fpp, -0.5 * f * fpp
     f2, fp2, fpp2 = f + 0.5 * h * k1_f, fp + 0.5 * h * k1_fp, fpp + 0.5 * h * k1_fpp
-    k2_f, k2_fp, k2_fpp = fp2, fpp2, rhs(f2, fp2, fpp2)
+    k2_f, k2_fp, k2_fpp = fp2, fpp2, -0.5 * f2 * fpp2
     f3, fp3, fpp3 = f + 0.5 * h * k2_f, fp + 0.5 * h * k2_fp, fpp + 0.5 * h * k2_fpp
-    k3_f, k3_fp, k3_fpp = fp3, fpp3, rhs(f3, fp3, fpp3)
+    k3_f, k3_fp, k3_fpp = fp3, fpp3, -0.5 * f3 * fpp3
     f4, fp4, fpp4 = f + h * k3_f, fp + h * k3_fp, fpp + h * k3_fpp
-    k4_f, k4_fp, k4_fpp = fp4, fpp4, rhs(f4, fp4, fpp4)
+    k4_f, k4_fp, k4_fpp = fp4, fpp4, -0.5 * f4 * fpp4
     return (
         f + h / 6.0 * (k1_f + 2.0 * k2_f + 2.0 * k3_f + k4_f),
         fp + h / 6.0 * (k1_fp + 2.0 * k2_fp + 2.0 * k3_fp + k4_fp),
@@ -140,14 +132,11 @@ def _rk4_step(f: float, fp: float, fpp: float, h: float, rhs: RhsFunc):
     )
 
 
-def integrate_blasius(
-    s: float, settings: IntegratorSettings, rhs: RhsFunc = blasius_rhs
-) -> Trajectory:
+def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
     """Integrate from (f, f', f'') = (0, 0, s) to eta_max, recording every step.
 
     Raises DivergenceError if |f''| passes DIVERGENCE_LIMIT or the state
-    stops being finite.  ``rhs`` is replaceable so tests can disable the
-    nonlinear term (rhs = 0 gives the closed form f' = s eta).
+    stops being finite.
     """
     if not math.isfinite(s):
         raise ValueError(f"initial slope must be finite, got {s!r}")
@@ -158,7 +147,7 @@ def integrate_blasius(
     fps = [fp]
     fpps = [fpp]
     for h in _steps(settings):
-        f, fp, fpp = _rk4_step(f, fp, fpp, h, rhs)
+        f, fp, fpp = _rk4_step(f, fp, fpp, h)
         eta += h
         if abs(fpp) > DIVERGENCE_LIMIT or not (
             math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)
@@ -185,7 +174,7 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     eta_max, h = settings.eta_max, settings.step
     xi, F, Fp, Fpp = 0.0, 0.0, 0.0, 1.0
     for _ in range(MAX_STEPS):
-        F1, Fp1, Fpp1 = _rk4_step(F, Fp, Fpp, h, blasius_rhs)
+        F1, Fp1, Fpp1 = _rk4_step(F, Fp, Fpp, h)
         reach = (xi + h) / eta_max
         if not reach * reach * Fp1 < 1.0:
             break
@@ -234,7 +223,7 @@ def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> Shoot
     s_star = _scaled_root(settings)
     f, fp_end, fpp_end = 0.0, 0.0, s_star
     for h in _steps(settings):  # integrate_blasius without storing the trajectory
-        f, fp_end, fpp_end = _rk4_step(f, fp_end, fpp_end, h, blasius_rhs)
+        f, fp_end, fpp_end = _rk4_step(f, fp_end, fpp_end, h)
     slope = (2.0 * fp_end + settings.eta_max * fpp_end) / (3.0 * s_star)
     if not (math.isfinite(fp_end) and slope > 0.0):
         raise ConvergenceError(

@@ -121,13 +121,13 @@ def test_criterion_6_recurrence_residual_suite(series_order6):
     nonzero = []
     for j in range(1, 7):
         f_res = f[j].derivative(3)
-        theta_res = theta[j].derivative(2).scale(eps)
+        theta_res = theta[j].derivative(2) * eps
         for k in range(j):
-            f_res = f_res + (f[k] * f[j - 1 - k].derivative(2)).scale(half)
-            theta_res = theta_res + (f[k] * theta[j - 1 - k].derivative()).scale(half)
-        if not f_res.is_zero:
+            f_res = f_res + f[k] * f[j - 1 - k].derivative(2) * half
+            theta_res = theta_res + f[k] * theta[j - 1 - k].derivative() * half
+        if f_res:
             nonzero.append(("f", j))
-        if not theta_res.is_zero:
+        if theta_res:
             nonzero.append(("theta", j))
     ok = not nonzero
     _report(6, ok, f"orders 1..6 per-order identities exactly zero: failures = {nonzero or 'none'}")

@@ -34,6 +34,12 @@ class TestSeriesCommand:
         assert code == 2
         assert "L > 0" in err
 
+    @pytest.mark.parametrize("order", ["61", "1000000000"])
+    def test_order_above_cap_exit_2_with_one_line(self, capsys, order):
+        code, out, err = run(capsys, "series", "--order", order)
+        assert code == 2 and out == ""
+        assert err == f"error: order must be at most 60, got {order}\n"
+
     def test_malformed_rational_names_the_flag(self, capsys):
         code, _, err = run(capsys, "series", "--domain-length", "five")
         assert code == 2
@@ -165,6 +171,16 @@ class TestCompareCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub,svg", [("compare", False), ("compare", True), ("figure", True)])
+    @pytest.mark.parametrize("window", ["0,inf", "1,1", "nan,1"])
+    def test_unusable_window_rejected_before_any_solve(self, capsys, tmp_path, sub, svg, window):
+        svg_path = tmp_path / "f.svg"
+        flags = ("--svg", str(svg_path)) if svg else ()
+        code, out, err = run(capsys, sub, *flags, f"--y-window={window}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: y window") and err.count("\n") == 1
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize("flags", [("--domain-length", "1e-300"), ("--grid", "0:1e300:1e299")])
     def test_float_overflow_exit_2_with_one_line(self, capsys, flags):
         code, _, err = run(capsys, "compare", "--eta-max", "6", "--step", "0.01", *flags)
@@ -217,6 +233,14 @@ class TestFigureCommand:
         assert code == 0
         assert svg_path.exists()
         assert "figure written" in out
+
+    def test_narrow_window_keeps_the_figure_small(self, capsys, tmp_path):
+        # the tail lies ~1e302 px outside this window; unclamped, the figure was 155 KB
+        svg_path = tmp_path / "fig.svg"
+        code, _, _ = run(capsys, "figure", "--y-window=0,1e-300", "--eta-max", "2",
+                         "--step", "0.01", "--svg", str(svg_path))
+        assert code == 0
+        assert svg_path.stat().st_size < 20_000
 
 
 class TestConfigFile:
@@ -303,7 +327,7 @@ def _values(*valid):
 # Output paths stay under the test's directory: the last two fail with exit 4.
 _PATHS = st.sampled_from(("{tmp}/out", "{tmp}/missing-dir/out", "{tmp}"))
 _SERIES_FLAGS = {
-    "--order": _values("0", "3", "6"),
+    "--order": _values("0", "3", "6", "61", "1000000000"),
     "--domain-length": _values("5", "11/2", "1"),
     "--epsilon": _values("1", "1/2", "10"),
 }
@@ -347,6 +371,31 @@ def argv_for_main(draw):
     return argv
 
 
+# Config-file values for on/off keys.
+_SWITCH_VALUES = st.sampled_from(("yes", "maybe", ""))
+
+
+@st.composite
+def config_for_main(draw):
+    """A subcommand and up to five config lines: key=value lines for its flags
+    or an unknown key, and bare keys without '='."""
+    sub = draw(st.sampled_from(sorted(FLAGS)))
+    lines = []
+    keys = st.sampled_from([*sorted(FLAGS[sub]), "--no-such-key"])
+    for flag in draw(st.lists(keys, max_size=5)):
+        values = FLAGS[sub].get(flag)
+        value = draw(_SWITCH_VALUES if values is None else values)
+        lines.append(draw(st.sampled_from((f"{flag[2:]}={value}", flag[2:]))))
+    return sub, lines
+
+
+def _run_main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestMainFuzz:
     @pytest.fixture(scope="class")
     def out_dir(self, tmp_path_factory):
@@ -359,8 +408,18 @@ class TestMainFuzz:
     @example(argv=["series", "--domain-length", "1e-300"])
     def test_exit_code_without_traceback(self, out_dir, argv):
         argv = [arg.replace("{tmp}", str(out_dir)) for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in {0, 2, 3, 4}, (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, err = _run_main_quietly(argv)
+        assert code in {0, 2, 3, 4}, (argv, err)
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=config_for_main())
+    @example(case=("series", ["order=1000000000"]))
+    @example(case=("figure", ["svg={tmp}/out", "y-window=0,inf"]))
+    def test_config_file_exit_code_without_traceback(self, out_dir, case):
+        sub, lines = case
+        config = out_dir / "fuzz.cfg"
+        config.write_text("".join(f"{line}\n" for line in lines).replace("{tmp}", str(out_dir)))
+        code, err = _run_main_quietly([sub, "--config", str(config)])
+        assert code in {0, 2, 3, 4}, (lines, err)
+        assert "Traceback" not in err

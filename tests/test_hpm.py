@@ -13,6 +13,7 @@ import pytest
 
 from flatplate.exact import RationalPolynomial
 from flatplate.hpm import (
+    MAX_ORDER,
     HpmConfig,
     build_series,
     initial_corrections,
@@ -21,6 +22,9 @@ from flatplate.hpm import (
     series_from_document,
     series_to_document,
 )
+from flatplate.shooting import IntegratorSettings, solve_shooting
+
+BOYD_SLOPE = 0.332057336215196  # Blasius f''(0) on the infinite domain, Boyd 1999
 
 F1_HAND = RationalPolynomial({5: Fraction(-1, 6000), 2: Fraction(5, 96)})
 F2_HAND = RationalPolynomial(
@@ -50,6 +54,12 @@ class TestConfig:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order"):
             HpmConfig(order=-1)
+
+    def test_order_is_capped(self):
+        HpmConfig(order=MAX_ORDER)
+        for order in (MAX_ORDER + 1, 10**9):
+            with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
+                HpmConfig(order=order)
 
     def test_accepts_rational_literals(self):
         cfg = HpmConfig(order=0, L="7/2", epsilon="3")
@@ -197,16 +207,16 @@ class TestResidualIdentities:
         half = Fraction(1, 2)
         for j in range(1, 7):
             f_residual = f[j].derivative(3)
-            theta_residual = theta[j].derivative(2).scale(eps)
+            theta_residual = theta[j].derivative(2) * eps
             for k in range(j):
-                f_residual = f_residual + (f[k] * f[j - 1 - k].derivative(2)).scale(half)
-                theta_residual = theta_residual + (f[k] * theta[j - 1 - k].derivative()).scale(half)
-            assert f_residual.is_zero, f"momentum residual at order {j}"
-            assert theta_residual.is_zero, f"temperature residual at order {j}"
+                f_residual = f_residual + f[k] * f[j - 1 - k].derivative(2) * half
+                theta_residual = theta_residual + f[k] * theta[j - 1 - k].derivative() * half
+            assert not f_residual, f"momentum residual at order {j}"
+            assert not theta_residual, f"temperature residual at order {j}"
 
     def test_order_zero_annihilated_by_linear_operator(self, series_order3):
-        assert series_order3.f_corrections[0].derivative(3).is_zero
-        assert series_order3.theta_corrections[0].derivative(2).is_zero
+        assert not series_order3.f_corrections[0].derivative(3)
+        assert not series_order3.theta_corrections[0].derivative(2)
 
 
 class TestStructuralLaws:
@@ -224,7 +234,31 @@ class TestStructuralLaws:
         base = build_series(HpmConfig(order=1, epsilon=Fraction(1)))
         for eps in (Fraction(2), Fraction(7, 3), Fraction(1, 4)):
             scaled = build_series(HpmConfig(order=1, epsilon=eps))
-            assert scaled.theta_corrections[1] == base.theta_corrections[1].scale(1 / eps)
+            assert scaled.theta_corrections[1] == base.theta_corrections[1] * (1 / eps)
+
+
+class TestTruncatedDomainOracle:
+    """The series fits its far condition at eta = L, so as the order grows its
+    wall slope converges to the boundary-value problem solved numerically on
+    [0, L], not to the Blasius value on [0, infinity)."""
+
+    @staticmethod
+    def wall_slope_gaps(L):
+        series = build_series(HpmConfig(order=25, L=L))
+        oracle = solve_shooting(IntegratorSettings(eta_max=float(L))).s_star
+        slopes = {o: float(2 * series.partial_sum("f", up_to=o).coefficient(2)) for o in (12, 25)}
+        return {o: abs(s - oracle) for o, s in slopes.items()}, slopes
+
+    def test_short_domain_converges_to_the_truncated_problem(self):
+        gaps, _ = self.wall_slope_gaps(Fraction(7, 2))
+        assert gaps[12] < 1e-6  # measured 8.2e-8
+        assert gaps[25] < 1e-10  # measured 5.3e-13
+
+    def test_paper_domain_approaches_the_truncated_problem_not_blasius(self):
+        gaps, slopes = self.wall_slope_gaps(Fraction(5))
+        assert gaps[25] < gaps[12]  # measured 3.2e-5 and 6.7e-4
+        for order, slope in slopes.items():
+            assert abs(slope - BOYD_SLOPE) > 2e-3, order  # measured 3.4e-3 and 4.1e-3
 
 
 class TestSeriesDocument:

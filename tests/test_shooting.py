@@ -1,4 +1,4 @@
-"""Numerical solver: degenerate closed forms, convergence, and profile shape.
+"""Numerical solver: validation, convergence, and profile shape.
 
 The frozen value 0.9915420322 for f'(5) at the quoted slope comes from a
 fine-step (1e-4) RK4 run performed as an independent oracle.  The scaled
@@ -25,11 +25,6 @@ from flatplate.shooting import (
 
 QUOTED_SLOPE = 0.3320574
 BOYD_SLOPE = 0.332057336215196  # Boyd 1999, "The Blasius function in the complex plane"
-
-
-def no_convection(f, fp, fpp):
-    """Test hook: drop the nonlinear term so f''' = 0 and f' = s*eta."""
-    return 0.0
 
 
 def bisect_far_boundary(settings, lo=0.1, hi=4.0):
@@ -79,12 +74,6 @@ class TestSettings:
 
 
 class TestIntegrator:
-    def test_linear_closed_form(self):
-        settings = IntegratorSettings(eta_max=5.0, step=1e-3)
-        traj = integrate_blasius(0.2, settings, rhs=no_convection)
-        assert traj.fp[-1] == pytest.approx(1.0, abs=1e-10)
-        assert traj.f[-1] == pytest.approx(0.1 * 25.0, abs=1e-9)
-
     def test_initial_conditions_and_grid(self):
         traj = integrate_blasius(0.3, IntegratorSettings(eta_max=2.0, step=1e-2))
         assert traj.f[0] == 0.0 and traj.fp[0] == 0.0 and traj.fpp[0] == 0.3
