@@ -100,7 +100,7 @@ def _add_shoot_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1.0e-8, help="far-boundary residual tolerance")
 
 
-def _add_compare_flags(parser: argparse.ArgumentParser, svg_required: bool) -> None:
+def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
     _add_series_flags(parser)
     _add_shoot_flags(parser)
     parser.add_argument(
@@ -113,7 +113,7 @@ def _add_compare_flags(parser: argparse.ArgumentParser, svg_required: bool) -> N
     parser.add_argument("--probe", type=float, default=10.0, metavar="ETA",
                         help="eta at which the outside-the-domain deviation is measured")
     parser.add_argument("--csv", help="write the gridded profiles here")
-    parser.add_argument("--svg", required=svg_required, help="write the comparison figure here")
+    parser.add_argument("--svg", help="write the comparison figure here")
     parser.add_argument(
         "--y-window",
         type=_parse_pair,
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the series against the numerical solution",
         epilog=_EXIT_CODES_HELP,
     )
-    _add_compare_flags(p_compare, svg_required=False)
+    _add_compare_flags(p_compare)
     p_compare.set_defaults(handler=run_compare)
 
     p_figure = sub.add_parser(
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the comparison figure (requires --svg)",
         epilog=_EXIT_CODES_HELP,
     )
-    _add_compare_flags(p_figure, svg_required=True)
+    _add_compare_flags(p_figure)
     p_figure.set_defaults(handler=run_compare)
 
     for p in (p_series, p_shoot, p_compare, p_figure):
@@ -206,18 +206,25 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     """Config-file values keyed by flag destination, to become parser defaults.
 
     argparse converts string defaults with the flag's ``type=`` when the flag
-    is absent, so only the on/off flags need converting here.
+    is absent, so only the on/off flags need converting here; it checks
+    ``choices`` only on the command line, so they are checked here.
     """
+    actions = {action.dest: action for action in args.command_parser._actions}
     defaults = {}
     for key, raw in _load_config_file(args.config).items():
         dest = key.replace("-", "_")
         if dest not in vars(args) or dest in _NOT_CONFIGURABLE:
             raise ValueError(f"unknown config key {key!r}")
+        choices = actions[dest].choices
         if isinstance(getattr(args, dest), bool):
             try:
                 defaults[dest] = _parse_bool(raw)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
+        elif choices is not None and raw not in choices:
+            raise ValueError(
+                f"config key {key!r}: expected one of {', '.join(choices)}, got {raw!r}"
+            )
         else:
             defaults[dest] = raw
     return defaults
@@ -321,6 +328,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         # wins however it is spelled, abbreviations included
         args.command_parser.set_defaults(**_config_defaults(args))
         args = parser.parse_args(argv)
+    if args.subcommand == "figure" and not args.svg:  # may come from the config file
+        args.command_parser.error("the following arguments are required: --svg")
     args.raw_argv = argv
     return args
 

@@ -172,6 +172,11 @@ _MAX_TICKS = 16  # per axis, whatever the span of the grid or the y window
 # 2.2e5 px), and inside the frame a segment with one end in it moves by at
 # most plot height * plot width / limit, about 0.21 px.
 _Y_PX_LIMIT = 1.0e6
+# (polyline id, report column, legend label, stroke attributes), in drawing order
+_CURVES = (
+    ("numerical", 1, "numerical", 'stroke="#205080" stroke-width="1.8" stroke-dasharray="7 4"'),
+    ("hpm", 2, "HPM", 'stroke="#b02020" stroke-width="1.8"'),
+)
 
 
 def _tick_step(span: float, step: float) -> float:
@@ -232,16 +237,10 @@ def emit_svg_figure(
         f'viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">'
     )
     parts.append(f'<rect x="0" y="0" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="white"/>')
-    parts.append(
-        f'<defs><clipPath id="plot-area"><rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" '
-        f'width="{plot_w}" height="{plot_h}"/></clipPath></defs>'
-    )
+    plot_rect = f'x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}"'
+    parts.append(f'<defs><clipPath id="plot-area"><rect {plot_rect}/></clipPath></defs>')
     # frame and ticks
-    frame = (
-        f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#888" stroke-width="1"/>'
-    )
-    parts.append(frame)
+    parts.append(f'<rect {plot_rect} fill="none" stroke="#888" stroke-width="1"/>')
     for xt in x_ticks:
         px = x_px(xt)
         parts.append(
@@ -273,34 +272,21 @@ def emit_svg_figure(
     )
     # the two curves, clipped to the frame so the divergent tail exits the picture
     parts.append('<g clip-path="url(#plot-area)" fill="none">')
-    parts.append(
-        f'<polyline id="numerical" points="{polyline_points(report.rows[:, 1])}" '
-        f'stroke="#205080" stroke-width="1.8" stroke-dasharray="7 4"/>'
-    )
-    parts.append(
-        f'<polyline id="hpm" points="{polyline_points(report.rows[:, 2])}" '
-        f'stroke="#b02020" stroke-width="1.8"/>'
-    )
+    for name, column, _, stroke in _CURVES:
+        points = polyline_points(report.rows[:, column])
+        parts.append(f'<polyline id="{name}" points="{points}" {stroke}/>')
     parts.append("</g>")
-    # legend
+    # legend, one row per curve
     lx = _MARGIN_LEFT + 14.0
-    ly = _MARGIN_TOP + 16.0
-    parts.append(
-        f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 34:.2f}" y2="{ly:.2f}" '
-        f'stroke="#205080" stroke-width="1.8" stroke-dasharray="7 4"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 40:.2f}" y="{ly + 4:.2f}" font-size="13" '
-        f'font-family="sans-serif">numerical</text>'
-    )
-    parts.append(
-        f'<line x1="{lx:.2f}" y1="{ly + 18:.2f}" x2="{lx + 34:.2f}" y2="{ly + 18:.2f}" '
-        f'stroke="#b02020" stroke-width="1.8"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 40:.2f}" y="{ly + 22:.2f}" font-size="13" '
-        f'font-family="sans-serif">HPM</text>'
-    )
+    for row, (_, _, label, stroke) in enumerate(_CURVES):
+        ly = _MARGIN_TOP + 16.0 + 18 * row
+        parts.append(
+            f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 34:.2f}" y2="{ly:.2f}" {stroke}/>'
+        )
+        parts.append(
+            f'<text x="{lx + 40:.2f}" y="{ly + 4:.2f}" font-size="13" '
+            f'font-family="sans-serif">{label}</text>'
+        )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(parts) + "\n")

@@ -25,7 +25,9 @@ eta_max is the honest stand-in for infinity here; its adequacy is measured
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,12 +35,12 @@ import numpy as np
 
 from ._format import write_csv
 
-# Integration aborts once |f''| exceeds this; diverging probe slopes blow up
-# through it quickly while physical trajectories stay below 1.
+# integrate_blasius reports the first step where |f''| exceeds this; diverging
+# probe slopes blow up through it quickly while physical trajectories stay below 1.
 DIVERGENCE_LIMIT = 1.0e6
 
 # Upper bound on eta_max/step and on the steps of the scaled march.  A stored
-# trajectory peaks at about 160 bytes per step, so one run stays near 160 MB.
+# trajectory peaks at about 73 bytes per step, so one run stays under 80 MB.
 MAX_STEPS = 10**6
 
 class ShootingError(Exception):
@@ -117,49 +119,47 @@ def _steps(settings: IntegratorSettings) -> list[float]:
     return steps
 
 
-def _rk4_step(f: float, fp: float, fpp: float, h: float):
-    k1_f, k1_fp, k1_fpp = fp, fpp, -0.5 * f * fpp
-    f2, fp2, fpp2 = f + 0.5 * h * k1_f, fp + 0.5 * h * k1_fp, fpp + 0.5 * h * k1_fpp
-    k2_f, k2_fp, k2_fpp = fp2, fpp2, -0.5 * f2 * fpp2
-    f3, fp3, fpp3 = f + 0.5 * h * k2_f, fp + 0.5 * h * k2_fp, fpp + 0.5 * h * k2_fpp
-    k3_f, k3_fp, k3_fpp = fp3, fpp3, -0.5 * f3 * fpp3
-    f4, fp4, fpp4 = f + h * k3_f, fp + h * k3_fp, fpp + h * k3_fpp
-    k4_f, k4_fp, k4_fpp = fp4, fpp4, -0.5 * f4 * fpp4
-    return (
-        f + h / 6.0 * (k1_f + 2.0 * k2_f + 2.0 * k3_f + k4_f),
-        fp + h / 6.0 * (k1_fp + 2.0 * k2_fp + 2.0 * k3_fp + k4_fp),
-        fpp + h / 6.0 * (k1_fpp + 2.0 * k2_fpp + 2.0 * k3_fpp + k4_fpp),
-    )
+def _march(s: float, steps):
+    """Classical RK4 from (eta, f, f', f'') = (0, 0, 0, s): the state after each step."""
+    eta, f, fp, fpp = 0.0, 0.0, 0.0, float(s)
+    for h in steps:
+        k1_f, k1_fp, k1_fpp = fp, fpp, -0.5 * f * fpp
+        f2, fp2, fpp2 = f + 0.5 * h * k1_f, fp + 0.5 * h * k1_fp, fpp + 0.5 * h * k1_fpp
+        k2_f, k2_fp, k2_fpp = fp2, fpp2, -0.5 * f2 * fpp2
+        f3, fp3, fpp3 = f + 0.5 * h * k2_f, fp + 0.5 * h * k2_fp, fpp + 0.5 * h * k2_fpp
+        k3_f, k3_fp, k3_fpp = fp3, fpp3, -0.5 * f3 * fpp3
+        f4, fp4, fpp4 = f + h * k3_f, fp + h * k3_fp, fpp + h * k3_fpp
+        k4_f, k4_fp, k4_fpp = fp4, fpp4, -0.5 * f4 * fpp4
+        f, fp, fpp = (
+            f + h / 6.0 * (k1_f + 2.0 * k2_f + 2.0 * k3_f + k4_f),
+            fp + h / 6.0 * (k1_fp + 2.0 * k2_fp + 2.0 * k3_fp + k4_fp),
+            fpp + h / 6.0 * (k1_fpp + 2.0 * k2_fpp + 2.0 * k3_fpp + k4_fpp),
+        )
+        eta += h
+        yield eta, f, fp, fpp
 
 
 def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
     """Integrate from (f, f', f'') = (0, 0, s) to eta_max, recording every step.
 
-    Raises DivergenceError if |f''| passes DIVERGENCE_LIMIT or the state
-    stops being finite.
+    Raises DivergenceError at the first step where |f''| passes
+    DIVERGENCE_LIMIT or the state stops being finite.
     """
     if not math.isfinite(s):
         raise ValueError(f"initial slope must be finite, got {s!r}")
-    f, fp, fpp = 0.0, 0.0, float(s)
-    eta = 0.0
-    etas = [eta]
-    fs = [f]
-    fps = [fp]
-    fpps = [fpp]
-    for h in _steps(settings):
-        f, fp, fpp = _rk4_step(f, fp, fpp, h)
-        eta += h
-        if abs(fpp) > DIVERGENCE_LIMIT or not (
-            math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)
-        ):
-            raise DivergenceError(eta, s)
-        etas.append(eta)
-        fs.append(f)
-        fps.append(fp)
-        fpps.append(fpp)
+    steps = _steps(settings)
+    states = np.fromiter(
+        itertools.chain([(0.0, 0.0, 0.0, float(s))], _march(s, steps)),
+        dtype=np.dtype((np.float64, 4)),
+        count=len(steps) + 1,
+    )
+    marched = states[1:]
+    bad = (np.abs(marched[:, 3]) > DIVERGENCE_LIMIT) | ~np.isfinite(marched).all(axis=1)
+    if bad.any():
+        raise DivergenceError(float(marched[bad.argmax(), 0]), s)
     # land the last node exactly on eta_max (it differs only by accumulated roundoff)
-    etas[-1] = settings.eta_max
-    return Trajectory(np.array(etas), np.array(fs), np.array(fps), np.array(fpps))
+    states[-1, 0] = settings.eta_max
+    return Trajectory(*states.T.copy())
 
 
 def _scaled_root(settings: IntegratorSettings) -> float:
@@ -172,13 +172,12 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     cubic Hermite interpolant of F' built from F' and F'' at its two ends.
     """
     eta_max, h = settings.eta_max, settings.step
-    xi, F, Fp, Fpp = 0.0, 0.0, 0.0, 1.0
-    for _ in range(MAX_STEPS):
-        F1, Fp1, Fpp1 = _rk4_step(F, Fp, Fpp, h)
-        reach = (xi + h) / eta_max
+    xi, Fp, Fpp = 0.0, 0.0, 1.0
+    for xi1, _, Fp1, Fpp1 in _march(1.0, itertools.repeat(h, MAX_STEPS)):
+        reach = xi1 / eta_max
         if not reach * reach * Fp1 < 1.0:
             break
-        xi, F, Fp, Fpp = xi + h, F1, Fp1, Fpp1
+        xi, Fp, Fpp = xi1, Fp1, Fpp1
     else:
         raise ConvergenceError(
             f"the scaled march needs more than {MAX_STEPS} steps at "
@@ -186,7 +185,7 @@ def _scaled_root(settings: IntegratorSettings) -> float:
         )
     if not math.isfinite(Fp1):
         raise ConvergenceError(
-            f"the scaled march overflowed at xi = {xi + h:.6g}; step = {h:g} is too coarse"
+            f"the scaled march overflowed at xi = {xi1:.6g}; step = {h:g} is too coarse"
         )
 
     def defect(x: float) -> float:
@@ -221,9 +220,7 @@ def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> Shoot
     eta_max = 0.5 are solved like long ones.
     """
     s_star = _scaled_root(settings)
-    f, fp_end, fpp_end = 0.0, 0.0, s_star
-    for h in _steps(settings):  # integrate_blasius without storing the trajectory
-        f, fp_end, fpp_end = _rk4_step(f, fp_end, fpp_end, h)
+    _, _, fp_end, fpp_end = deque(_march(s_star, _steps(settings)), maxlen=1).pop()
     slope = (2.0 * fp_end + settings.eta_max * fpp_end) / (3.0 * s_star)
     if not (math.isfinite(fp_end) and slope > 0.0):
         raise ConvergenceError(

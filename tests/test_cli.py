@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatplate.cli import main
@@ -223,8 +223,9 @@ class TestCompareCommand:
 
 class TestFigureCommand:
     def test_requires_svg(self, capsys):
-        code, _, _ = run(capsys, "figure")
+        code, _, err = run(capsys, "figure")
         assert code == 2
+        assert err.endswith("error: the following arguments are required: --svg\n")
 
     def test_writes_figure(self, capsys, tmp_path):
         svg_path = tmp_path / "fig.svg"
@@ -286,6 +287,38 @@ class TestConfigFile:
         code, _, err = run(capsys, "shoot", "--config", str(cfg))
         assert code == 2
         assert "stamp" in err
+
+    def test_config_value_outside_choices(self, capsys, tmp_path):
+        # argparse checks choices only for values given on the command line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=abc\n")
+        code, out, err = run(capsys, "series", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "format" in err and "abc" in err
+
+    def test_config_value_inside_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=csv\norder=0\n")
+        code, out, _ = run(capsys, "series", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[0] == "component,j,power,num,den"
+
+    def test_figure_svg_from_config(self, capsys, tmp_path):
+        svg_path = tmp_path / "fig.svg"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"svg={svg_path}\neta-max=6\nstep=0.01\n")
+        code, out, _ = run(capsys, "figure", "--config", str(cfg))
+        assert code == 0
+        assert svg_path.exists()
+        assert "figure written" in out
+
+    def test_figure_without_svg_anywhere(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta-max=6\nstep=0.01\n")
+        code, out, err = run(capsys, "figure", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.endswith("error: the following arguments are required: --svg\n")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -389,6 +422,18 @@ def config_for_main(draw):
     return sub, lines
 
 
+@st.composite
+def settings_for_main(draw):
+    """A subcommand and up to five distinct (flag, value) pairs of its flags;
+    on/off flags take the config-file values of ``_SWITCH_VALUES``."""
+    sub = draw(st.sampled_from(sorted(FLAGS)))
+    pairs = []
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[sub])), unique=True, max_size=5)):
+        values = FLAGS[sub][flag]
+        pairs.append((flag, draw(_SWITCH_VALUES if values is None else values)))
+    return sub, pairs
+
+
 def _run_main_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -423,3 +468,22 @@ class TestMainFuzz:
         code, err = _run_main_quietly([sub, "--config", str(config)])
         assert code in {0, 2, 3, 4}, (lines, err)
         assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=settings_for_main())
+    @example(case=("series", [("--format", "abc")]))
+    @example(case=("figure", [("--svg", "{tmp}/out"), ("--eta-max", "6"), ("--step", "0.01")]))
+    def test_config_file_matches_flags(self, out_dir, case):
+        # the same settings as key=value lines and as --key=value flags end alike
+        sub, pairs = case
+        switches = {flag for flag, _ in pairs if FLAGS[sub][flag] is None}
+        assume(all(value == "yes" for flag, value in pairs if flag in switches))
+        config = out_dir / "same.cfg"
+        config.write_text(
+            "".join(f"{flag[2:]}={value}\n" for flag, value in pairs).replace("{tmp}", str(out_dir))
+        )
+        flags = [flag if flag in switches else f"{flag}={value}" for flag, value in pairs]
+        flags = [arg.replace("{tmp}", str(out_dir)) for arg in flags]
+        config_code, config_err = _run_main_quietly([sub, "--config", str(config)])
+        flag_code, flag_err = _run_main_quietly([sub, *flags])
+        assert config_code == flag_code, (pairs, config_err, flag_err)
