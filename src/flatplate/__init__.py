@@ -20,10 +20,8 @@ from .hpm import (
     HpmSeries,
     build_series,
     initial_corrections,
-    load_series,
     recurrence_step_f,
     recurrence_step_theta,
-    save_series,
     series_from_document,
     series_to_document,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "recurrence_step_theta",
     "series_to_document",
     "series_from_document",
-    "save_series",
-    "load_series",
     "IntegratorSettings",
     "Trajectory",
     "ShootingResult",

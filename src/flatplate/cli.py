@@ -49,24 +49,22 @@ _EXIT_CODES_HELP = (
 _NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two numbers, got {text!r}") from None
+def _numbers(metavar: str):
+    """argparse type for numbers spelled like ``metavar``: "LO,HI" or
+    "START:STOP:STEP" (the separator and the count come from the metavar)."""
+    sep = "," if "," in metavar else ":"
+    count = metavar.count(sep) + 1
 
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(part) for part in text.split(sep))
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {metavar}, got {text!r}")
+        return values
 
-def _parse_grid(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected START:STOP:STEP, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}") from None
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -105,7 +103,7 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
     _add_shoot_flags(parser)
     parser.add_argument(
         "--grid",
-        type=_parse_grid,
+        type=_numbers("START:STOP:STEP"),
         default=(0.0, 12.0, 0.05),
         metavar="START:STOP:STEP",
         help="comparison grid in eta",
@@ -116,7 +114,7 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svg", help="write the comparison figure here")
     parser.add_argument(
         "--y-window",
-        type=_parse_pair,
+        type=_numbers("LO,HI"),
         default=(-0.2, 1.4),
         metavar="LO,HI",
         help="figure y-axis clamp window",

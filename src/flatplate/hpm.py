@@ -30,7 +30,6 @@ identities, not merely to some tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -200,13 +199,3 @@ def series_from_document(doc: dict) -> HpmSeries:
         raise ValueError("series document correction lists do not match the stated order")
     return HpmSeries(f_list, theta_list, config)
 
-
-def save_series(series: HpmSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(series_to_document(series), handle, indent=2)
-        handle.write("\n")
-
-
-def load_series(path) -> HpmSeries:
-    with open(path, "r", encoding="utf-8") as handle:
-        return series_from_document(json.load(handle))

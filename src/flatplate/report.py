@@ -76,7 +76,7 @@ class Grid:
 @dataclass(frozen=True)
 class ComparisonReport:
     rows: np.ndarray  # (n, 3): eta, fprime_numerical, fprime_hpm
-    max_dev_inside: float  # max |delta f'| on [0, L]
+    max_dev_inside: float | None  # max |delta f'| on [0, L]; None if no grid point is in it
     dev_at_probe: float | None  # |delta f'| at probe_eta; None if probe outside grid
     probe_eta: float
     s_numerical: float
@@ -99,22 +99,24 @@ def compare(
     derivative; the numerical profile is linearly interpolated from the
     trajectory and extrapolated as the constant 1.0 beyond eta_max (the
     far-field value, which the trajectory has reached to ~1e-5 by default).
-    The probe deviation is evaluated only when the probe lies inside the
-    grid range; callers see None otherwise.
+    The maximum deviation on [0, L] is taken over the grid points in [0, L],
+    and is None when there are none.  The probe deviation is evaluated only
+    when the probe lies inside the grid range; callers see None otherwise.
     """
     if not math.isfinite(probe_eta):
         raise ValueError(f"probe eta must be finite, got {probe_eta!r}")
     eta = grid.points()
-    fprime_series = series.partial_sum("f").derivative()
+    f_sum = series.partial_sum("f")
+    fprime_series = f_sum.derivative()
     traj = shot.trajectory
     fprime_num = np.interp(eta, traj.eta, traj.fp, right=1.0)
     fprime_hpm = np.array([fprime_series.eval_float(x) for x in eta])
     rows = np.column_stack([eta, fprime_num, fprime_hpm])
 
     L = float(series.config.L)
-    inside = eta <= L + 1.0e-12
+    inside = (eta >= 0.0) & (eta <= L + 1.0e-12)
     deviation = np.abs(fprime_hpm - fprime_num)
-    max_dev_inside = float(np.max(deviation[inside])) if np.any(inside) else 0.0
+    max_dev_inside = float(np.max(deviation[inside])) if np.any(inside) else None
 
     if grid.start <= probe_eta <= grid.stop:
         num_at_probe = float(np.interp(probe_eta, traj.eta, traj.fp, right=1.0))
@@ -132,7 +134,7 @@ def compare(
         theta_hpm = np.array([theta_sum.eval_float(x) for x in eta])
         theta_rows = np.column_stack([theta_num, theta_hpm])
 
-    s_hpm_exact = 2 * series.partial_sum("f").coefficient(2)
+    s_hpm_exact = 2 * f_sum.coefficient(2)
     eta_max = float(traj.eta[-1])  # integrate_blasius pins the last node to eta_max
     return ComparisonReport(
         rows=rows,
@@ -295,10 +297,14 @@ def emit_svg_figure(
 def summary_lines(report: ComparisonReport) -> list[str]:
     """Human-readable metric summary shared by the CLI subcommands."""
     eta = report.rows[:, 0]
+    L = report.domain_length
+    if report.max_dev_inside is not None:
+        max_dev = f"{report.max_dev_inside:.6f}"
+    else:
+        max_dev = f"not evaluated (no grid point in [0, {L:g}])"
     lines = [
         f"comparison over eta in [{eta[0]:g}, {eta[-1]:g}] ({len(eta)} points)",
-        f"  max |f'_hpm - f'_numerical| on [0, {report.domain_length:g}] = "
-        f"{report.max_dev_inside:.6f}",
+        f"  max |f'_hpm - f'_numerical| on [0, {L:g}] = {max_dev}",
     ]
     if report.dev_at_probe is not None:
         lines.append(

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -347,6 +350,40 @@ class TestHelp:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "series" in out and "figure" in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_transcripts() -> list[tuple[str, str]]:
+    """(command, expected stdout) for every ``$ `` line in a fenced block of
+    README.md: the output runs to the next ``$ `` line or the end of the
+    block, less trailing blank lines."""
+    transcripts = []
+    for block in re.findall(r"^```.*?\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            re.DOTALL | re.MULTILINE):
+        for chunk in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
+            command, _, output = chunk.partition("\n")
+            output = output.rstrip("\n")
+            transcripts.append((command, output + "\n" if output else ""))
+    return transcripts
+
+
+TRANSCRIPTS = _readme_transcripts()
+
+
+class TestReadmeTranscripts:
+    def test_readme_has_transcripts(self):
+        assert len(TRANSCRIPTS) >= 3
+
+    @pytest.mark.parametrize("command, expected", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])
+    def test_transcript(self, capsys, tmp_path, monkeypatch, command, expected):
+        monkeypatch.chdir(tmp_path)  # transcripts write their files to the working directory
+        program, *argv = shlex.split(command)
+        assert program == "flatplate"
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == expected
 
 
 # Values every flag may receive besides its own cheap valid ones.

@@ -7,7 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flatplate.report import Grid, compare, emit_csv, emit_svg_figure, round_half_up
+from flatplate.report import (
+    Grid,
+    compare,
+    emit_csv,
+    emit_svg_figure,
+    round_half_up,
+    summary_lines,
+)
 from flatplate.shooting import MAX_STEPS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -95,6 +102,19 @@ class TestCompare:
         row = default_report.rows[100]
         assert row[0] == pytest.approx(5.0, abs=1e-12)
         assert row[2] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("start, stop", [(6.0, 12.0), (-3.0, -1.0)])
+    def test_no_grid_point_in_domain(self, series_order3, default_shot, start, stop):
+        report = compare(series_order3, default_shot, Grid(start=start, stop=stop, step=0.5))
+        assert report.max_dev_inside is None
+        assert summary_lines(report)[1] == (
+            "  max |f'_hpm - f'_numerical| on [0, 5] = not evaluated (no grid point in [0, 5])"
+        )
+
+    def test_points_below_zero_are_outside_domain(self, series_order3, default_shot):
+        wide = compare(series_order3, default_shot, Grid(start=-3.0, stop=5.0, step=0.25))
+        inside = compare(series_order3, default_shot, Grid(start=0.0, stop=5.0, step=0.25))
+        assert wide.max_dev_inside == inside.max_dev_inside > 0.0
 
     def test_probe_outside_grid_is_omitted(self, inside_report):
         assert inside_report.dev_at_probe is None
