@@ -19,9 +19,6 @@ from .hpm import (
     HpmConfig,
     HpmSeries,
     build_series,
-    initial_corrections,
-    recurrence_step_f,
-    recurrence_step_theta,
     series_from_document,
     series_to_document,
 )
@@ -45,9 +42,6 @@ __all__ = [
     "HpmConfig",
     "HpmSeries",
     "build_series",
-    "initial_corrections",
-    "recurrence_step_f",
-    "recurrence_step_theta",
     "series_to_document",
     "series_from_document",
     "IntegratorSettings",

@@ -7,18 +7,20 @@ at eta = L.  They are frozen as plain fractions so the test stays
 independent of the code path it checks.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatplate.exact import RationalPolynomial
 from flatplate.hpm import (
     MAX_ORDER,
     HpmConfig,
+    HpmSeries,
     build_series,
-    initial_corrections,
     recurrence_step_f,
-    recurrence_step_theta,
     series_from_document,
     series_to_document,
 )
@@ -67,64 +69,86 @@ class TestConfig:
         assert cfg.epsilon == Fraction(3)
 
 
+def reference_corrections(config):
+    """The Fraction recurrence build_series used to run, one RationalPolynomial
+    operation per step.
+
+    Kept here as an oracle: the integer engine must reproduce every
+    correction exactly, and so the series document byte for byte.
+    """
+    L, half = config.L, Fraction(1, 2)
+    f = [RationalPolynomial.monomial(2, half / L)]
+    theta = [RationalPolynomial({0: Fraction(1), 1: -1 / L})]
+    for j in range(1, config.order + 1):
+        convection = sum(
+            (f[k] * f[j - 1 - k].derivative(2) for k in range(j)), RationalPolynomial()
+        )
+        particular = (convection * -half).antiderivative(3)
+        c = -particular.derivative().eval_exact(L) / (2 * L)
+        f.append(particular + RationalPolynomial.monomial(2, c))
+        convection = sum(
+            (f[k] * theta[j - 1 - k].derivative() for k in range(j)), RationalPolynomial()
+        )
+        particular = (convection * (-half / config.epsilon)).antiderivative(2)
+        b = -particular.eval_exact(L) / L
+        theta.append(particular + RationalPolynomial.monomial(1, b))
+    return f, theta
+
+
+def corrections(order, L=Fraction(5), epsilon=Fraction(1)):
+    series = build_series(HpmConfig(order=order, L=L, epsilon=epsilon))
+    return series.f_corrections, series.theta_corrections
+
+
 class TestInitialCorrections:
     def test_default_domain(self):
-        f0, theta0 = initial_corrections(HpmConfig(order=0))
+        (f0,), (theta0,) = corrections(0)
         assert f0 == RationalPolynomial({2: Fraction(1, 10)})
         assert theta0 == RationalPolynomial({0: 1, 1: Fraction(-1, 5)})
 
     def test_longer_domain(self):
-        f0, _ = initial_corrections(HpmConfig(order=0, L=Fraction(10)))
+        (f0,), _ = corrections(0, L=Fraction(10))
         assert f0 == RationalPolynomial({2: Fraction(1, 20)})
 
     @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
     def test_closed_form_any_domain(self, L):
-        f0, theta0 = initial_corrections(HpmConfig(order=0, L=L))
+        (f0,), (theta0,) = corrections(0, L=L)
         assert f0 == RationalPolynomial({2: Fraction(1, 2) / L})
         assert theta0 == RationalPolynomial({0: 1, 1: -1 / L})
 
 
 class TestRecurrence:
     def test_order1_hand_oracle(self):
-        cfg = HpmConfig(order=3)
-        f0, _ = initial_corrections(cfg)
-        assert recurrence_step_f(1, [f0], cfg) == F1_HAND
+        f, _ = corrections(1)
+        assert f[1] == F1_HAND
 
     def test_order2_hand_oracle(self):
-        cfg = HpmConfig(order=3)
-        f0, _ = initial_corrections(cfg)
-        f1 = recurrence_step_f(1, [f0], cfg)
-        assert recurrence_step_f(2, [f0, f1], cfg) == F2_HAND
+        f, _ = corrections(2)
+        assert f[2] == F2_HAND
 
     @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2), Fraction(1)])
     def test_order1_degree_is_five(self, L):
-        cfg = HpmConfig(order=1, L=L)
-        f0, _ = initial_corrections(cfg)
-        assert recurrence_step_f(1, [f0], cfg).degree == 5
+        f, _ = corrections(1, L=L)
+        assert f[1].degree == 5
 
     def test_theta_order1_hand_oracle(self):
-        cfg = HpmConfig(order=1)
-        f0, theta0 = initial_corrections(cfg)
-        assert recurrence_step_theta(1, [f0], [theta0], cfg) == THETA1_HAND
+        _, theta = corrections(1)
+        assert theta[1] == THETA1_HAND
 
     def test_theta_order1_epsilon_two(self):
-        cfg = HpmConfig(order=1, epsilon=Fraction(2))
-        f0, theta0 = initial_corrections(cfg)
-        theta1 = recurrence_step_theta(1, [f0], [theta0], cfg)
-        assert theta1 == RationalPolynomial({4: Fraction(1, 2400), 1: Fraction(-5, 96)})
+        _, theta = corrections(1, epsilon=Fraction(2))
+        assert theta[1] == RationalPolynomial({4: Fraction(1, 2400), 1: Fraction(-5, 96)})
 
     @pytest.mark.parametrize(
         "L,eps", [(Fraction(5), Fraction(1)), (Fraction(7, 2), Fraction(3)), (Fraction(10), Fraction(1, 2))]
     )
     def test_theta_order1_vanishes_at_origin(self, L, eps):
-        cfg = HpmConfig(order=1, L=L, epsilon=eps)
-        f0, theta0 = initial_corrections(cfg)
-        theta1 = recurrence_step_theta(1, [f0], [theta0], cfg)
-        assert theta1.eval_exact(0) == 0
+        _, theta = corrections(1, L=L, epsilon=eps)
+        assert theta[1].eval_exact(0) == 0
 
     def test_prior_list_length_is_checked(self):
         cfg = HpmConfig(order=2)
-        f0, _ = initial_corrections(cfg)
+        f0 = ([1], 10)  # eta^2/10 in dense form
         with pytest.raises(ValueError):
             recurrence_step_f(2, [f0], cfg)
 
@@ -166,6 +190,22 @@ class TestBuildSeries:
         again = build_series(HpmConfig(order=3))
         assert again.f_corrections == series_order3.f_corrections
         assert again.theta_corrections == series_order3.theta_corrections
+
+    @pytest.mark.parametrize(
+        "L", [Fraction(5), Fraction(10), Fraction(7, 2), Fraction(11, 2), Fraction(1)]
+    )
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(7, 10)])
+    def test_matches_reference_corrections(self, L, eps):
+        """Correction j does not depend on the total order, so order 20 covers
+        the documents of orders 0-20 as well."""
+        config = HpmConfig(order=20, L=L, epsilon=eps)
+        series = build_series(config)
+        f, theta = reference_corrections(config)
+        assert series.f_corrections == tuple(f)
+        assert series.theta_corrections == tuple(theta)
+        reference = HpmSeries(tuple(f), tuple(theta), config)
+        text = json.dumps(series_to_document(series), indent=2)
+        assert text == json.dumps(series_to_document(reference), indent=2)
 
 
 @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
@@ -235,6 +275,44 @@ class TestStructuralLaws:
         for eps in (Fraction(2), Fraction(7, 3), Fraction(1, 4)):
             scaled = build_series(HpmConfig(order=1, epsilon=eps))
             assert scaled.theta_corrections[1] == base.theta_corrections[1] * (1 / eps)
+
+
+    @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10)])
+    def test_dense_support(self, L, eps):
+        # the engine stores f_j on the powers 3m+2 and theta_j on 3m+1, m <= j;
+        # every one of these j+1 coefficients is nonzero
+        f, theta = corrections(12, L=L, epsilon=eps)
+        for j in range(1, 13):
+            for poly, offset in ((f[j], 2), (theta[j], 1)):
+                powers = [p for p, _ in poly.terms()]
+                assert powers == [3 * m + offset for m in range(j + 1)], (j, offset)
+
+
+_SMALL_RATIONALS = st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=7)
+
+
+class TestScalingLaw:
+    """f_j(eta) = L^(2j+1) f_j^(L=1)(eta/L) and theta_j(eta) = L^(2j)
+    theta_j^(L=1)(eta/L) at the same epsilon: the coefficient of eta^p scales
+    by L^(2j+1-p) and L^(2j-p)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        L=_SMALL_RATIONALS,
+        eps=_SMALL_RATIONALS,
+        order=st.integers(min_value=0, max_value=8),
+    )
+    def test_coefficients_scale_with_domain_length(self, L, eps, order):
+        f, theta = corrections(order, L=L, epsilon=eps)
+        f1, theta1 = corrections(order, L=Fraction(1), epsilon=eps)
+        for j in range(order + 1):
+            assert f[j] == RationalPolynomial(
+                {p: c * L ** (2 * j + 1 - p) for p, c in f1[j].terms()}
+            ), j
+            assert theta[j] == RationalPolynomial(
+                {p: c * L ** (2 * j - p) for p, c in theta1[j].terms()}
+            ), j
 
 
 class TestTruncatedDomainOracle:
