@@ -7,16 +7,24 @@ non-negative powers of the similarity variable eta to nonzero coefficients;
 the zero polynomial stores no terms and has degree ``None``.
 
 Everything here is immutable and side-effect free, so values may be shared
-freely across threads.  Float evaluation is provided for plotting and
-comparison only; the rational path is the source of truth.
+freely across threads.  Float evaluation, at a point or over a whole float64
+grid, is provided for plotting and comparison only; the rational path is the
+source of truth.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 RationalLike = Union[Fraction, int, str]
+
+# Grid points raised to a power per list of Python floats; bounds the memory
+# that list takes, whatever the size of the grid.
+_CHUNK_POINTS = 1024
 
 
 def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
@@ -150,7 +158,7 @@ class RationalPolynomial:
 
     def _horner(self, x, convert: Callable[[RationalLike], Fraction | float]):
         """Sparse Horner from the top power down; ``convert`` maps each
-        coefficient into the type of ``x``."""
+        coefficient into the type of ``x``, or to float for a ``_GridPowers``."""
         terms = iter(sorted(self._coeffs.items(), reverse=True))
         last, acc = next(terms, (0, 0))  # the zero polynomial evaluates to convert(0)
         acc = convert(acc)
@@ -163,9 +171,18 @@ class RationalPolynomial:
         """Exact Horner evaluation at a rational point."""
         return self._horner(as_rational(x), as_rational)
 
-    def eval_float(self, x: float) -> float:
+    def eval_float(self, x: float | np.ndarray) -> float | np.ndarray:
         """Horner evaluation in float64.  Approximate: coefficients round
-        to the nearest double before any arithmetic happens."""
+        to the nearest double before any arithmetic happens.
+
+        A numpy array ``x`` gives a float64 array of its shape, bit-equal
+        point by point to the scalar evaluation (see ``_GridPowers``); any
+        other ``x`` gives a float.
+        """
+        if isinstance(x, np.ndarray):
+            # inf and nan arise silently in the scalar path too
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._horner(_GridPowers(x), float)
         return self._horner(float(x), float)
 
     # -- comparisons / display -----------------------------------------------
@@ -212,6 +229,38 @@ class RationalPolynomial:
                 raise ValueError(f"not a serialized polynomial term: {entry!r}") from None
             coeffs[power] = rational_from_obj(entry)
         return cls(coeffs)
+
+
+class _GridPowers:
+    """A float64 grid that ``_horner`` can raise to integer powers.
+
+    Each power is computed point by point with Python's ``float ** int``,
+    the operation of the scalar path: ``np.power`` rounds differently in the
+    last bit, and returns inf where ``**`` raises OverflowError.  The
+    recurrence ``acc * x**gap + c`` then runs on whole arrays, where ``*``
+    and ``+`` round exactly as they do on floats.  Only the latest power is
+    kept; the series' partial sums step down by one repeated gap (3) until
+    their lowest powers, so each distinct gap is computed once.  The points pass
+    through Python floats _CHUNK_POINTS at a time.
+    """
+
+    __slots__ = ("points", "exponent", "power")
+
+    def __init__(self, points: np.ndarray):
+        self.points = np.asarray(points, dtype=np.float64)
+        self.exponent, self.power = None, None
+
+    def __pow__(self, exponent: int) -> np.ndarray:
+        if exponent != self.exponent:
+            self.power = None  # free the previous power before making the next
+            flat, gap = self.points.ravel(), itertools.repeat(exponent)
+            values = itertools.chain.from_iterable(
+                map(pow, flat[start : start + _CHUNK_POINTS].tolist(), gap)
+                for start in range(0, flat.size, _CHUNK_POINTS)
+            )
+            power = np.fromiter(values, np.float64, flat.size)
+            self.exponent, self.power = exponent, power.reshape(self.points.shape)
+        return self.power
 
 
 def _format_term(power: int, coeff: Fraction) -> str:

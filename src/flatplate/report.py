@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._format import write_csv
+from ._format import CHUNK_ROWS, write_csv
 from .hpm import HpmSeries
 from .shooting import MAX_STEPS, ShootingResult, theta_profile
 
@@ -42,7 +42,7 @@ def round_half_up(value: float, decimals: int) -> str:
 class Grid:
     """Uniform eta grid; stop must be an integer number of steps from start.
 
-    At most MAX_STEPS points, each of which ``compare`` evaluates one by one.
+    At most MAX_STEPS points, which ``compare`` evaluates as one array.
     """
 
     start: float = 0.0
@@ -110,7 +110,7 @@ def compare(
     fprime_series = f_sum.derivative()
     traj = shot.trajectory
     fprime_num = np.interp(eta, traj.eta, traj.fp, right=1.0)
-    fprime_hpm = np.array([fprime_series.eval_float(x) for x in eta])
+    fprime_hpm = fprime_series.eval_float(eta)
     rows = np.column_stack([eta, fprime_num, fprime_hpm])
 
     L = float(series.config.L)
@@ -131,7 +131,7 @@ def compare(
         # theta(infinity) = 0, so extrapolate past the trajectory as 0
         theta_num = np.interp(eta, profile[:, 0], profile[:, 1], right=0.0)
         theta_sum = series.partial_sum("theta")
-        theta_hpm = np.array([theta_sum.eval_float(x) for x in eta])
+        theta_hpm = theta_sum.eval_float(eta)
         theta_rows = np.column_stack([theta_num, theta_hpm])
 
     s_hpm_exact = 2 * f_sum.coefficient(2)
@@ -152,11 +152,11 @@ def compare(
 def emit_csv(report: ComparisonReport, path, stamp_lines: Sequence[str] = ()) -> None:
     """Write the gridded profiles: eta,fprime_numerical,fprime_hpm (+ theta
     columns when present), in the CSV format of ``write_csv``."""
-    header, rows = "eta,fprime_numerical,fprime_hpm", report.rows
+    header, columns = "eta,fprime_numerical,fprime_hpm", [*report.rows.T]
     if report.theta_rows is not None:
         header += ",theta_numerical,theta_hpm"
-        rows = np.column_stack([rows, report.theta_rows])
-    write_csv(path, header, rows, stamp_lines)
+        columns += [*report.theta_rows.T]
+    write_csv(path, header, columns, stamp_lines)
 
 
 # -- SVG figure ----------------------------------------------------------------
@@ -221,9 +221,16 @@ def emit_svg_figure(
     def y_px(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
+    xs = x_px(eta)
+
     def polyline_points(values: np.ndarray) -> str:
         ys = np.clip(y_px(values), -_Y_PX_LIMIT, _Y_PX_LIMIT)
-        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(x_px(eta), ys))
+        chunks = []
+        for start in range(0, len(xs), CHUNK_ROWS):
+            end = start + CHUNK_ROWS
+            pairs = np.column_stack([xs[start:end], ys[start:end]]).ravel().tolist()
+            chunks.append(" ".join(["%.2f,%.2f"] * (len(pairs) // 2)) % tuple(pairs))
+        return " ".join(chunks)
 
     x_tick_step = _tick_step(x_hi - x_lo, 1.0 if (x_hi - x_lo) <= 15.0 else 2.0)
     x_ticks = [x_lo + i * x_tick_step for i in range(int((x_hi - x_lo) / x_tick_step) + 1)]
@@ -291,7 +298,8 @@ def emit_svg_figure(
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(parts) + "\n")
+        for part in parts:
+            handle.write(part + "\n")
 
 
 def summary_lines(report: ComparisonReport) -> list[str]:

@@ -96,10 +96,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.eta)
 
-    def samples(self):
-        """Iterate (eta, f, f', f'') tuples in grid order."""
-        return zip(self.eta, self.f, self.fp, self.fpp)
-
 
 @dataclass(frozen=True)
 class ShootingResult:
@@ -260,4 +256,5 @@ def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
 
 def write_trajectory_csv(trajectory: Trajectory, path, stamp_lines: Sequence[str] = ()) -> None:
     """CSV export: header eta,f,fp,fpp and one row per grid point (see ``write_csv``)."""
-    write_csv(path, "eta,f,fp,fpp", trajectory.samples(), stamp_lines)
+    columns = (trajectory.eta, trajectory.f, trajectory.fp, trajectory.fpp)
+    write_csv(path, "eta,f,fp,fpp", columns, stamp_lines)

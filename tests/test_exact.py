@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from flatplate.exact import (
     rational_from_obj,
     rational_to_obj,
 )
+from flatplate.hpm import HpmConfig, build_series
+from flatplate.report import Grid
 
 # The canonical third-order partial sum; used here purely as an algebra workout.
 TARGET_POLY = RationalPolynomial(
@@ -189,3 +192,61 @@ class TestPolynomialProperties:
     def test_scaling_commutes_with_evaluation(self, p, s):
         assert (p * s).eval_exact(2) == s * p.eval_exact(2)
         assert s * p == p * s
+
+
+def scalar_path(poly: RationalPolynomial, points) -> np.ndarray:
+    """The reference: one scalar eval_float per point."""
+    return np.array([poly.eval_float(x) for x in points], dtype=np.float64)
+
+
+@pytest.fixture(scope="module")
+def series_order25():
+    return build_series(HpmConfig(order=25))
+
+
+class TestArrayEvalFloat:
+    """An array argument must give the scalar path's bits at every point;
+    ``tobytes`` makes -0.0 and nan count."""
+
+    @pytest.mark.parametrize("grid", [Grid(0.0, 12.0, 0.001), Grid(-3.0, 5.0, 0.25)],
+                             ids=["0:12:0.001", "-3:5:0.25"])
+    @pytest.mark.parametrize("which", ["f", "theta"])
+    @pytest.mark.parametrize("order", [0, 3, 6, 9, 12, 25])
+    def test_partial_sums_bit_equal_to_scalar_path(self, series_order25, grid, which, order):
+        poly = series_order25.partial_sum(which, order)
+        if which == "f":
+            poly = poly.derivative()  # the f' profile that compare plots
+        eta = grid.points()
+        assert poly.eval_float(eta).tobytes() == scalar_path(poly, eta.tolist()).tobytes()
+
+    @pytest.mark.parametrize("poly", [RationalPolynomial(),
+                                      RationalPolynomial.monomial(3, Fraction(-2, 7))],
+                             ids=["zero", "monomial"])
+    def test_result_is_a_float64_array_of_the_input_shape(self, poly):
+        eta = np.linspace(-2.0, 2.0, 7)
+        out = poly.eval_float(eta)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == eta.shape
+        assert out.tobytes() == scalar_path(poly, eta.tolist()).tobytes()
+
+    @pytest.mark.parametrize("x", [2.5, 2, Fraction(5, 2), np.float64(2.5)])
+    def test_scalar_input_still_returns_a_python_float(self, x):
+        assert type(TARGET_POLY.eval_float(x)) is float
+
+    def test_overflow_raises_as_in_the_scalar_path(self):
+        with pytest.raises(OverflowError):
+            TARGET_POLY.eval_float(1e300)
+        with pytest.raises(OverflowError):
+            TARGET_POLY.eval_float(np.array([0.0, 1.0, 1e300]))
+
+    @given(polynomials, st.lists(st.floats(width=64), max_size=12))
+    def test_any_polynomial_and_points(self, p, xs):
+        # powers 0..8 with arbitrary gaps, and any floats: inf, nan, -0.0, overflow
+        points = np.array(xs, dtype=np.float64)
+        try:
+            expected = scalar_path(p, xs)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                p.eval_float(points)
+            return
+        assert p.eval_float(points).tobytes() == expected.tobytes()
