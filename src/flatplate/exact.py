@@ -6,17 +6,19 @@ zero represented uniquely as 0/1.  A polynomial is a sparse map from
 non-negative powers of the similarity variable eta to nonzero coefficients;
 the zero polynomial stores no terms and has degree ``None``.
 
-Everything here is immutable and side-effect free, so values may be shared
-freely across threads.  Float evaluation, at a point or over a whole float64
-grid, is provided for plotting and comparison only; the rational path is the
-source of truth.
+Every value here is immutable, so values may be shared freely across
+threads.  A polynomial caches one derived value, the float table that float
+evaluation reads; it is a function of the immutable coefficients, so two
+threads that fill it at once write equal tuples.  Float evaluation, at a
+point or over a whole float64 grid, is provided for plotting and comparison
+only; the rational path is the source of truth.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -72,10 +74,12 @@ class RationalPolynomial:
     """Sparse univariate polynomial in eta over the rationals.
 
     Terms with coefficient zero are never stored, so equality is plain
-    dict equality and the zero polynomial is the empty map.
+    dict equality and the zero polynomial is the empty map.  ``_float_terms``
+    caches the descending (power, float(coeff)) table of ``eval_float``;
+    it takes no part in equality, hashing, display or serialization.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_float_terms")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
         """``coeffs`` maps powers to coefficients; zero coefficients are dropped."""
@@ -87,6 +91,7 @@ class RationalPolynomial:
             if c:
                 store[power] = c
         self._coeffs = store
+        self._float_terms: tuple[tuple[int, float], ...] | None = None
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "RationalPolynomial":
@@ -156,20 +161,22 @@ class RationalPolynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _horner(self, x, convert: Callable[[RationalLike], Fraction | float]):
-        """Sparse Horner from the top power down; ``convert`` maps each
-        coefficient into the type of ``x``, or to float for a ``_GridPowers``."""
-        terms = iter(sorted(self._coeffs.items(), reverse=True))
-        last, acc = next(terms, (0, 0))  # the zero polynomial evaluates to convert(0)
-        acc = convert(acc)
+    @staticmethod
+    def _horner(terms: Sequence[tuple[int, Fraction | float]], x):
+        """Sparse Horner over nonempty (power, coeff) pairs in descending
+        power order, each coefficient already of the type of ``x`` (float
+        for a ``_GridPowers``)."""
+        terms = iter(terms)
+        last, acc = next(terms)
         for power, coeff in terms:
-            acc = acc * x ** (last - power) + convert(coeff)
+            acc = acc * x ** (last - power) + coeff
             last = power
         return acc * x**last
 
     def eval_exact(self, x: RationalLike) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        return self._horner(as_rational(x), as_rational)
+        terms = sorted(self._coeffs.items(), reverse=True) or [(0, Fraction(0))]
+        return self._horner(terms, as_rational(x))
 
     def eval_float(self, x: float | np.ndarray) -> float | np.ndarray:
         """Horner evaluation in float64.  Approximate: coefficients round
@@ -177,13 +184,19 @@ class RationalPolynomial:
 
         A numpy array ``x`` gives a float64 array of its shape, bit-equal
         point by point to the scalar evaluation (see ``_GridPowers``); any
-        other ``x`` gives a float.
+        other ``x`` gives a float.  The rounded coefficients are computed on
+        the first call and reused by every later one.
         """
+        terms = self._float_terms
+        if terms is None:
+            descending = sorted(self._coeffs.items(), reverse=True)
+            terms = tuple((p, float(c)) for p, c in descending) or ((0, 0.0),)
+            self._float_terms = terms
         if isinstance(x, np.ndarray):
             # inf and nan arise silently in the scalar path too
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._horner(_GridPowers(x), float)
-        return self._horner(float(x), float)
+                return self._horner(terms, _GridPowers(x))
+        return self._horner(terms, float(x))
 
     # -- comparisons / display -----------------------------------------------
 

@@ -97,7 +97,16 @@ class HpmSeries:
             up_to = self.order
         if not 0 <= up_to <= self.order:
             raise ValueError(f"up_to must be in 0..{self.order}, got {up_to}")
-        return sum(corrections[: up_to + 1], RationalPolynomial())
+        by_power: dict[int, list[Fraction]] = {}
+        for correction in corrections[: up_to + 1]:
+            for power, coeff in correction.terms():
+                by_power.setdefault(power, []).append(coeff)
+        # one Fraction (and one gcd) per power, not one per addition
+        sums = {}
+        for power, coeffs in by_power.items():
+            den = math.lcm(*(c.denominator for c in coeffs))
+            sums[power] = Fraction(sum(c.numerator * (den // c.denominator) for c in coeffs), den)
+        return RationalPolynomial(sums)
 
 
 # The engine works on a dense integer form of each correction: numerators

@@ -1,6 +1,9 @@
 """Exact rational and polynomial algebra: frozen examples plus ring properties."""
 
+import copy
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,9 +197,32 @@ class TestPolynomialProperties:
         assert s * p == p * s
 
 
-def scalar_path(poly: RationalPolynomial, points) -> np.ndarray:
-    """The reference: one scalar eval_float per point."""
+def reference_eval_float(poly: RationalPolynomial, x: float) -> float:
+    """The per-call float evaluation that eval_float's cached table replaced:
+    sort the terms and round every coefficient on every call, then the same
+    sparse Horner.  Independent of eval_float, so the tests compare against it."""
+    terms = sorted(poly.terms(), reverse=True)
+    last, acc = terms[0] if terms else (0, 0)
+    acc = float(acc)
+    for power, coeff in terms[1:]:
+        acc = acc * x ** (last - power) + float(coeff)
+        last = power
+    return acc * x**last
+
+
+def reference_path(poly: RationalPolynomial, points) -> np.ndarray:
+    """The reference at every point, as a float64 array."""
+    return np.array([reference_eval_float(poly, float(x)) for x in points], dtype=np.float64)
+
+
+def scalar_sweep(poly: RationalPolynomial, points) -> np.ndarray:
+    """One scalar eval_float per point."""
     return np.array([poly.eval_float(x) for x in points], dtype=np.float64)
+
+
+def fresh(poly: RationalPolynomial) -> RationalPolynomial:
+    """An equal polynomial whose float table has not been built yet."""
+    return RationalPolynomial(dict(poly.terms()))
 
 
 @pytest.fixture(scope="module")
@@ -205,48 +231,99 @@ def series_order25():
 
 
 class TestArrayEvalFloat:
-    """An array argument must give the scalar path's bits at every point;
-    ``tobytes`` makes -0.0 and nan count."""
+    """Scalar and array eval_float must give the reference's bits at every
+    point, on the call that builds the float table (cold) and on the calls
+    that reuse it (warm); ``tobytes`` makes -0.0 and nan count."""
 
     @pytest.mark.parametrize("grid", [Grid(0.0, 12.0, 0.001), Grid(-3.0, 5.0, 0.25)],
                              ids=["0:12:0.001", "-3:5:0.25"])
     @pytest.mark.parametrize("which", ["f", "theta"])
-    @pytest.mark.parametrize("order", [0, 3, 6, 9, 12, 25])
+    @pytest.mark.parametrize("order", range(26))
     def test_partial_sums_bit_equal_to_scalar_path(self, series_order25, grid, which, order):
         poly = series_order25.partial_sum(which, order)
         if which == "f":
             poly = poly.derivative()  # the f' profile that compare plots
         eta = grid.points()
-        assert poly.eval_float(eta).tobytes() == scalar_path(poly, eta.tolist()).tobytes()
+        points = eta.tolist()
+        expected = reference_path(poly, points).tobytes()
+        scalar_first, array_first = fresh(poly), fresh(poly)
+        assert scalar_sweep(scalar_first, points).tobytes() == expected
+        assert scalar_first.eval_float(eta).tobytes() == expected
+        assert array_first.eval_float(eta).tobytes() == expected
+        assert scalar_sweep(array_first, points).tobytes() == expected
 
     @pytest.mark.parametrize("poly", [RationalPolynomial(),
                                       RationalPolynomial.monomial(3, Fraction(-2, 7))],
                              ids=["zero", "monomial"])
     def test_result_is_a_float64_array_of_the_input_shape(self, poly):
         eta = np.linspace(-2.0, 2.0, 7)
-        out = poly.eval_float(eta)
+        out = fresh(poly).eval_float(eta)
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.float64 and out.shape == eta.shape
-        assert out.tobytes() == scalar_path(poly, eta.tolist()).tobytes()
+        assert out.tobytes() == reference_path(poly, eta.tolist()).tobytes()
 
     @pytest.mark.parametrize("x", [2.5, 2, Fraction(5, 2), np.float64(2.5)])
     def test_scalar_input_still_returns_a_python_float(self, x):
         assert type(TARGET_POLY.eval_float(x)) is float
 
     def test_overflow_raises_as_in_the_scalar_path(self):
-        with pytest.raises(OverflowError):
-            TARGET_POLY.eval_float(1e300)
-        with pytest.raises(OverflowError):
-            TARGET_POLY.eval_float(np.array([0.0, 1.0, 1e300]))
+        for poly in (fresh(TARGET_POLY), TARGET_POLY):  # cold, then warm
+            with pytest.raises(OverflowError):
+                poly.eval_float(1e300)
+            with pytest.raises(OverflowError):
+                poly.eval_float(np.array([0.0, 1.0, 1e300]))
 
     @given(polynomials, st.lists(st.floats(width=64), max_size=12))
     def test_any_polynomial_and_points(self, p, xs):
         # powers 0..8 with arbitrary gaps, and any floats: inf, nan, -0.0, overflow
         points = np.array(xs, dtype=np.float64)
+        scalar_first, array_first = fresh(p), fresh(p)
         try:
-            expected = scalar_path(p, xs)
+            expected = reference_path(p, xs).tobytes()
         except OverflowError:
+            for poly in (array_first, array_first, scalar_first):  # cold, warm, cold
+                with pytest.raises(OverflowError):
+                    poly.eval_float(points)
             with pytest.raises(OverflowError):
-                p.eval_float(points)
+                scalar_sweep(scalar_first, xs)
             return
-        assert p.eval_float(points).tobytes() == expected.tobytes()
+        assert scalar_sweep(scalar_first, xs).tobytes() == expected
+        assert scalar_first.eval_float(points).tobytes() == expected
+        assert array_first.eval_float(points).tobytes() == expected
+        assert scalar_sweep(array_first, xs).tobytes() == expected
+
+
+class TestFloatTableIsInvisible:
+    """Building the float table changes nothing a caller can observe."""
+
+    @pytest.mark.parametrize("x", [2.5, np.linspace(0.0, 5.0, 11)], ids=["scalar", "array"])
+    @pytest.mark.parametrize("poly", [TARGET_POLY, RationalPolynomial()], ids=["target", "zero"])
+    def test_value_semantics_after_eval_float(self, poly, x):
+        used, unused = fresh(poly), fresh(poly)
+        used.eval_float(x)
+        assert used._float_terms is not None and unused._float_terms is None
+        assert used == unused and unused == used
+        assert hash(used) == hash(unused)
+        assert {used: 1}[unused] == 1
+        assert repr(used) == repr(unused)
+        assert str(used) == str(unused)
+        assert used.to_obj() == unused.to_obj()
+        assert RationalPolynomial.from_obj(used.to_obj()) == unused
+        copied = copy.deepcopy(used)
+        assert copied == used == unused and hash(copied) == hash(unused)
+        assert copied.eval_float(2.5) == unused.eval_float(2.5)
+
+    def test_benchmark_tracer_still_wraps_eval_float(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        method = RationalPolynomial.eval_float
+        poly = fresh(TARGET_POLY)
+        tracer = tracer_module.Tracer()
+        with tracer.installed():
+            assert RationalPolynomial.eval_float is not method
+            poly.eval_float(2.5)
+            poly.eval_float(np.array([1.0, 2.0]))
+        assert RationalPolynomial.eval_float is method
+        assert tracer.metrics()["exact.eval_float_calls"] == 2

@@ -175,12 +175,27 @@ class TestBuildSeries:
         assert series_order3.partial_sum("f", up_to=1) == expected
 
     def test_partial_sum_range_checked(self, series_order3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^up_to must be in 0\.\.3, got 4$"):
             series_order3.partial_sum("f", up_to=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^up_to must be in 0\.\.3, got -1$"):
             series_order3.partial_sum("f", up_to=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^which must be 'f' or 'theta', got 'g'$"):
             series_order3.partial_sum("g")
+
+    @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10)])
+    def test_partial_sum_matches_the_fold(self, L, eps):
+        """Every partial sum equals the fold of RationalPolynomial additions,
+        coefficient by coefficient and in its serialized form."""
+        series = build_series(HpmConfig(order=25, L=L, epsilon=eps))
+        for which, corrections in (("f", series.f_corrections),
+                                   ("theta", series.theta_corrections)):
+            for up_to in range(series.order + 1):
+                expected = sum(corrections[: up_to + 1], RationalPolynomial())
+                got = series.partial_sum(which, up_to)
+                assert got == expected
+                assert got.to_obj() == expected.to_obj()
+            assert series.partial_sum(which) == series.partial_sum(which, series.order)
 
     def test_correction_list_lengths(self, series_order6):
         assert len(series_order6.f_corrections) == 7
