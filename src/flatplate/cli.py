@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -232,7 +233,9 @@ def _stamp_lines(args: argparse.Namespace) -> tuple[str, ...]:
     if not getattr(args, "stamp", False):
         return ()
     when = datetime.now(timezone.utc).replace(microsecond=0).isoformat()
-    invocation = "flatplate " + " ".join(args.raw_argv)
+    # shell-quoted, and one line whatever the paths hold, so it stays a comment
+    invocation = shlex.join(["flatplate", *args.raw_argv])
+    invocation = invocation.replace("\r", "\\r").replace("\n", "\\n")
     return (f"generated-at={when}", f"invocation={invocation}")
 
 

@@ -4,7 +4,7 @@ Coefficients are ``fractions.Fraction`` values, which stay in canonical form
 by construction: positive denominator, gcd(numerator, denominator) = 1, and
 zero represented uniquely as 0/1.  A polynomial is a sparse map from
 non-negative powers of the similarity variable eta to nonzero coefficients;
-the zero polynomial stores no terms and has degree ``None``.
+the zero polynomial stores no terms.
 
 Every value here is immutable, so values may be shared freely across
 threads.  A polynomial caches one derived value, the float table that float
@@ -93,16 +93,7 @@ class RationalPolynomial:
         self._coeffs = store
         self._float_terms: tuple[tuple[int, float], ...] | None = None
 
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "RationalPolynomial":
-        return cls({power: coeff})
-
     # -- structure -----------------------------------------------------------
-
-    @property
-    def degree(self) -> int | None:
-        """Highest stored power; None for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else None
 
     def coefficient(self, power: int) -> Fraction:
         return self._coeffs.get(power, Fraction(0))
@@ -121,9 +112,6 @@ class RationalPolynomial:
             out[p] = out[p] + c if p in out else c
         return RationalPolynomial(out)
 
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other * -1
-
     def __mul__(self, other) -> "RationalPolynomial":
         """Product with a polynomial, or with a Fraction or int scalar."""
         if isinstance(other, RationalPolynomial):
@@ -136,8 +124,6 @@ class RationalPolynomial:
         if isinstance(other, (Fraction, int)):
             return RationalPolynomial({p: c * other for p, c in self._coeffs.items()})
         return NotImplemented
-
-    __rmul__ = __mul__
 
     # -- calculus ------------------------------------------------------------
 

@@ -44,8 +44,9 @@ from .exact import (
 
 
 # Highest accepted order.  Build time grows about as the fourth power of the
-# order (0.41 s at order 60 and L = 5 on a 2-vCPU host, 0.067 s at order 40),
-# so an unchecked order is an unbounded computation.
+# order (0.25 s at order 60 and L = 5 on a 2-vCPU host, 0.05 s at order 40;
+# 0.36 s at order 60 and L = 10^20, 1.0 s at L = 10^300), so an unchecked
+# order is an unbounded computation.
 MAX_ORDER = 60
 
 
@@ -109,14 +110,17 @@ class HpmSeries:
         return RationalPolynomial(sums)
 
 
-# The engine works on a dense integer form of each correction: numerators
-# n[0..j] of the powers eta^(3m+2) (f_j) or eta^(3m+1) (theta_j, with the
-# constant 1 of theta_0 left out, since only theta' enters the recurrence)
-# over one positive denominator.  No term falls outside these powers:
-# f_k f''_i and f_k theta'_i live on the powers 3p+2, the antiderivatives
-# move them to 3p+5 and 3p+4, and the fitted homogeneous terms are eta^2 and
-# eta.  Integers with one gcd per correction replace a Fraction (and its gcd)
-# per operation.
+# The engine works at L = 1, on a dense integer form of each correction:
+# numerators n[0..j] of the powers eta^(3m+2) (f_j) or eta^(3m+1) (theta_j,
+# with the constant 1 of theta_0 left out, since only theta' enters the
+# recurrence) over one positive denominator.  No term falls outside these
+# powers: f_k f''_i and f_k theta'_i live on the powers 3p+2, the
+# antiderivatives move them to 3p+5 and 3p+4, and the fitted homogeneous
+# terms are eta^2 and eta.  Integers with one gcd per correction replace a
+# Fraction (and its gcd) per operation.  L is a length scale only,
+# f_j(eta) = L^(2j+1) f_j^(L=1)(eta/L) and theta_j(eta) = L^(2j)
+# theta_j^(L=1)(eta/L), so it enters once, in _coefficients, and the
+# integers of the recurrence do not grow with the digits of L.
 DenseCorrection = tuple[list[int], int]
 
 
@@ -143,45 +147,34 @@ def _integrate_and_fit(
     factor: Fraction,
     divisors: Sequence[int],
     fit_weights: Sequence[int],
-    L: Fraction,
 ) -> DenseCorrection:
-    """Integrate factor * rhs term-wise, then fit the homogeneous term at L.
+    """Integrate factor * rhs term-wise, then fit the homogeneous term at 1.
 
     The antiderivative divides the numerator in slot p by ``divisors[p]`` and
     moves it to slot p+1.  Slot 0 is then fitted so that
-    sum_m fit_weights[m] n[m] L^(3m) = 0: the far condition f_j'(L) = 0
-    (weights 3m+2) or theta_j(L) = 0 (weights 1), divided by a power of L.
+    sum_m fit_weights[m] n[m] = 0: the far condition f_j'(1) = 0
+    (weights 3m+2) or theta_j(1) = 0 (weights 1).
     """
     nums, den = rhs
     M = math.lcm(*divisors)
     nums = [0] + [n * factor.numerator * (M // t) for n, t in zip(nums, divisors)]
     den *= M * factor.denominator
-    j = len(divisors)
-    p, q = L.numerator, L.denominator
-    nums[0] = -sum(
-        fit_weights[m] * nums[m] * p ** (3 * m) * q ** (3 * (j - m)) for m in range(1, j + 1)
-    )
-    scale = fit_weights[0] * q ** (3 * j)
+    nums[0] = -sum(w * n for w, n in zip(fit_weights[1:], nums[1:]))
+    scale = fit_weights[0]
     nums[1:] = [n * scale for n in nums[1:]]
     den *= scale
     g = math.gcd(den, *nums)
     return [n // g for n in nums], den // g
 
 
-def recurrence_step_f(
-    j: int, prior_f: Sequence[DenseCorrection], config: HpmConfig
-) -> DenseCorrection:
-    """Order-j momentum correction from corrections 0..j-1, in dense form.
+def recurrence_step_f(j: int, prior_f: Sequence[DenseCorrection]) -> DenseCorrection:
+    """Order-j momentum correction at L = 1 from corrections 0..j-1.
 
     Solves f_j''' = -(1/2) sum_{k<j} f_k f''_{j-1-k} exactly: triple
     antiderivative (zero constants) kills nothing at 0, the conditions
     f_j(0)=0 and f_j'(0)=0 exclude the 1 and eta homogeneous terms, and the
-    remaining c*eta^2 term is fixed by f_j'(L) = 0.
+    remaining c*eta^2 term is fixed by f_j'(1) = 0.
     """
-    if j < 1:
-        raise ValueError(f"recurrence order must be >= 1, got {j}")
-    if len(prior_f) != j:
-        raise ValueError(f"need exactly {j} prior f corrections, got {len(prior_f)}")
     curvature = [
         ([(3 * m + 2) * (3 * m + 1) * n for m, n in enumerate(nums)], den)
         for nums, den in prior_f
@@ -189,56 +182,64 @@ def recurrence_step_f(
     divisors = [(3 * p + 3) * (3 * p + 4) * (3 * p + 5) for p in range(j)]
     rhs = _convolve(prior_f, curvature)
     fit_weights = [3 * m + 2 for m in range(j + 1)]
-    return _integrate_and_fit(rhs, Fraction(-1, 2), divisors, fit_weights, config.L)
+    return _integrate_and_fit(rhs, Fraction(-1, 2), divisors, fit_weights)
 
 
 def recurrence_step_theta(
     j: int,
     prior_f: Sequence[DenseCorrection],
     prior_theta: Sequence[DenseCorrection],
-    config: HpmConfig,
+    epsilon: Fraction,
 ) -> DenseCorrection:
-    """Order-j temperature correction from f and theta corrections 0..j-1.
+    """Order-j temperature correction at L = 1 from f and theta corrections 0..j-1.
 
     Solves eps theta_j'' = -(1/2) sum_{k<j} f_k theta'_{j-1-k}: double
     antiderivative, theta_j(0)=0 excludes the constant, and the b*eta term
-    is fixed by theta_j(L) = 0.  Division by eps happens here, which is why
+    is fixed by theta_j(1) = 0.  Division by eps happens here, which is why
     eps = 0 is rejected at config construction.
     """
-    if j < 1:
-        raise ValueError(f"recurrence order must be >= 1, got {j}")
-    if len(prior_f) != j or len(prior_theta) != j:
-        raise ValueError(f"need exactly {j} prior corrections of each kind")
     slope = [([(3 * m + 1) * n for m, n in enumerate(nums)], den) for nums, den in prior_theta]
     divisors = [(3 * p + 3) * (3 * p + 4) for p in range(j)]
     rhs = _convolve(prior_f, slope)
-    factor = Fraction(-1, 2) / config.epsilon
-    return _integrate_and_fit(rhs, factor, divisors, [1] * (j + 1), config.L)
+    return _integrate_and_fit(rhs, Fraction(-1, 2) / epsilon, divisors, [1] * (j + 1))
 
 
-def _coefficients(correction: DenseCorrection, offset: int) -> dict[int, Fraction]:
+def _coefficients(
+    j: int, correction: DenseCorrection, offset: int, L: Fraction
+) -> dict[int, Fraction]:
+    """Place the dense order-j correction at L: the coefficient of
+    eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike.  One
+    Fraction (and one gcd) per coefficient."""
     nums, den = correction
-    return {3 * m + offset: Fraction(n, den) for m, n in enumerate(nums)}
+    p, q = L.numerator, L.denominator
+    coeffs = {}
+    for m, n in enumerate(nums):
+        k = 2 * j - 1 - 3 * m
+        if k >= 0:
+            coeffs[3 * m + offset] = Fraction(n * p**k, den * q**k)
+        else:
+            coeffs[3 * m + offset] = Fraction(n * q**-k, den * p**-k)
+    return coeffs
 
 
 def build_series(config: HpmConfig) -> HpmSeries:
     """Construct all corrections 0..config.order.  Deterministic and exact.
 
-    The order-0 pair solves f_0''' = 0 with f_0(0)=0, f_0'(0)=0, f_0'(L)=1
-    and theta_0'' = 0 with theta_0(0)=1, theta_0(L)=0: f_0 = eta^2/(2L) and
-    theta_0 = 1 - eta/L.  Each correction becomes a RationalPolynomial once,
-    after the last order.
+    The order-0 pair at L = 1 solves f_0''' = 0 with f_0(0)=0, f_0'(0)=0,
+    f_0'(1)=1 and theta_0'' = 0 with theta_0(0)=1, theta_0(1)=0: f_0 = eta^2/2
+    and theta_0 = 1 - eta.  Each correction becomes a RationalPolynomial
+    once, after the last order, when the scaling law places it at L.
     """
-    p, q = config.L.numerator, config.L.denominator
-    f_list = [([q], 2 * p)]
-    theta_list = [([-q], p)]
+    f_list = [([1], 2)]
+    theta_list = [([-1], 1)]
     for j in range(1, config.order + 1):
-        f_list.append(recurrence_step_f(j, f_list, config))
-        theta_list.append(recurrence_step_theta(j, f_list[:j], theta_list, config))
-    theta_coeffs = [_coefficients(c, 1) for c in theta_list]
+        f_list.append(recurrence_step_f(j, f_list))
+        theta_list.append(recurrence_step_theta(j, f_list[:j], theta_list, config.epsilon))
+    L = config.L
+    theta_coeffs = [_coefficients(j, c, 1, L) for j, c in enumerate(theta_list)]
     theta_coeffs[0][0] = Fraction(1)  # the constant the dense form leaves out
     return HpmSeries(
-        tuple(RationalPolynomial(_coefficients(c, 2)) for c in f_list),
+        tuple(RationalPolynomial(_coefficients(j, c, 2, L)) for j, c in enumerate(f_list)),
         tuple(RationalPolynomial(c) for c in theta_coeffs),
         config,
     )

@@ -75,6 +75,17 @@ class TestSeriesCommand:
         code, _, _ = run(capsys, "series", "--no-such-flag")
         assert code == 2
 
+    def test_int_string_limit_exit_2_with_one_line(self, capsys, tmp_path):
+        # L = 10^40 at order 60 puts integers of more than 4300 digits into
+        # the document, past Python's int-to-string limit
+        target = tmp_path / "P.json"
+        code, out, err = run(capsys, "series", "--order", "60", "--domain-length", "1e40",
+                             "--format", "json", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "4300" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
     def test_out_to_unwritable_path(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "series.json"
         code, _, err = run(capsys, "series", "--format", "json", "--out", str(target))
@@ -97,6 +108,25 @@ class TestShootCommand:
         lines = target.read_text().splitlines()
         assert lines[0] == "eta,f,fp,fpp"
         assert len(lines) == 1 + 201
+
+    @pytest.mark.parametrize("name", ["a b.csv", "a\nb.csv", "a\rb.csv"])
+    def test_stamp_lines_stay_comments(self, capsys, tmp_path, name):
+        target = tmp_path / name
+        argv = ["shoot", "--eta-max", "2", "--step", "0.01", "--tol", "1e-6",
+                "--stamp", "--trajectory-out", str(target)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        with open(target, newline="") as handle:
+            lines = handle.read().splitlines()  # at \r as well as \n
+        header = lines.index("eta,f,fp,fpp")
+        assert header == 2
+        assert all(line.startswith("# ") for line in lines[:header])
+        invocation = lines[1].removeprefix("# invocation=")
+        if name == "a b.csv":
+            assert shlex.split(invocation) == ["flatplate", *argv]
+        else:
+            escaped = name.replace("\n", "\\n").replace("\r", "\\r")
+            assert invocation.endswith(escaped + "'")
 
     @pytest.mark.parametrize("eta_max, slope", [("1", "1.0211569"), ("0.5", "2.0104570")])
     def test_short_domain(self, capsys, eta_max, slope):
