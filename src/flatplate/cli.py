@@ -77,110 +77,52 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _add_series_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, default=3, help="highest correction order kept")
-    parser.add_argument(
-        "--domain-length",
-        default="5",
-        metavar="L",
-        help="truncated domain length, a rational literal like 5 or 11/2",
-    )
-    parser.add_argument(
-        "--epsilon",
-        default="1",
-        metavar="E",
-        help="temperature-equation coefficient, a rational literal",
-    )
-
-
-def _add_shoot_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta-max", type=float, default=10.0, help="truncation of infinity")
-    parser.add_argument("--step", type=float, default=1.0e-3, help="fixed RK4 step")
-    parser.add_argument("--tol", type=float, default=1.0e-8, help="far-boundary residual tolerance")
-
-
-def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
-    _add_series_flags(parser)
-    _add_shoot_flags(parser)
-    parser.add_argument(
-        "--grid",
+# Flag groups: each maps a flag to its add_argument keywords, in --help order.
+_SERIES_FLAGS = {
+    "--order": dict(type=int, default=3, help="highest correction order kept"),
+    "--domain-length": dict(
+        default="5", metavar="L", help="truncated domain length, a rational literal like 5 or 11/2"
+    ),
+    "--epsilon": dict(
+        default="1", metavar="E", help="temperature-equation coefficient, a rational literal"
+    ),
+}
+_SERIES_OUTPUT_FLAGS = {
+    "--format": dict(choices=("json", "csv", "pretty"), default="pretty", help="output format"),
+    "--out": dict(help="output path (default: stdout)"),
+}
+_SHOOT_FLAGS = {
+    "--eta-max": dict(type=float, default=10.0, help="truncation of infinity"),
+    "--step": dict(type=float, default=1.0e-3, help="fixed RK4 step"),
+    "--tol": dict(type=float, default=1.0e-8, help="far-boundary residual tolerance"),
+}
+_TRAJECTORY_FLAGS = {"--trajectory-out": dict(help="write the converged trajectory CSV here")}
+_COMPARE_FLAGS = {
+    "--grid": dict(
         type=_numbers("START:STOP:STEP"),
         default=(0.0, 12.0, 0.05),
         metavar="START:STOP:STEP",
         help="comparison grid in eta",
-    )
-    parser.add_argument("--probe", type=float, default=10.0, metavar="ETA",
-                        help="eta at which the outside-the-domain deviation is measured")
-    parser.add_argument("--csv", help="write the gridded profiles here")
-    parser.add_argument("--svg", help="write the comparison figure here")
-    parser.add_argument(
-        "--y-window",
+    ),
+    "--probe": dict(
+        type=float,
+        default=10.0,
+        metavar="ETA",
+        help="eta at which the outside-the-domain deviation is measured",
+    ),
+    "--csv": dict(help="write the gridded profiles here"),
+    "--svg": dict(help="write the comparison figure here"),
+    "--y-window": dict(
         type=_numbers("LO,HI"),
         default=(-0.2, 1.4),
         metavar="LO,HI",
         help="figure y-axis clamp window",
-    )
-    parser.add_argument(
-        "--with-theta",
-        action="store_true",
-        help="add temperature columns from both methods to the CSV",
-    )
-    parser.add_argument("--stamp", action="store_true", help="add metadata comments to CSV output")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flatplate",
-        description="Exact truncated-domain series and shooting solutions "
-        "for the flat-plate boundary layer.",
-        epilog=_EXIT_CODES_HELP,
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_series = sub.add_parser(
-        "series",
-        help="build the exact correction polynomials",
-        epilog=_EXIT_CODES_HELP,
-    )
-    _add_series_flags(p_series)
-    p_series.add_argument(
-        "--format", choices=("json", "csv", "pretty"), default="pretty", help="output format"
-    )
-    p_series.add_argument("--out", help="output path (default: stdout)")
-    p_series.set_defaults(handler=run_series)
-
-    p_shoot = sub.add_parser(
-        "shoot",
-        help="solve for f''(0) by shooting",
-        epilog=_EXIT_CODES_HELP,
-    )
-    _add_shoot_flags(p_shoot)
-    p_shoot.add_argument("--trajectory-out", help="write the converged trajectory CSV here")
-    p_shoot.add_argument("--stamp", action="store_true",
-                         help="add metadata comments to CSV output")
-    p_shoot.set_defaults(handler=run_shoot)
-
-    p_compare = sub.add_parser(
-        "compare",
-        help="compare the series against the numerical solution",
-        epilog=_EXIT_CODES_HELP,
-    )
-    _add_compare_flags(p_compare)
-    p_compare.set_defaults(handler=run_compare)
-
-    p_figure = sub.add_parser(
-        "figure",
-        help="emit the comparison figure (requires --svg)",
-        epilog=_EXIT_CODES_HELP,
-    )
-    _add_compare_flags(p_figure)
-    p_figure.set_defaults(handler=run_compare)
-
-    for p in (p_series, p_shoot, p_compare, p_figure):
-        p.add_argument("--config", help="flat key=value file overriding flag defaults")
-        p.set_defaults(command_parser=p)
-        p._negative_number_matcher = _NEGATIVE_VALUE
-    return parser
+    ),
+    "--with-theta": dict(
+        action="store_true", help="add temperature columns from both methods to the CSV"
+    ),
+}
+_STAMP_FLAGS = {"--stamp": dict(action="store_true", help="add metadata comments to CSV output")}
 
 
 # Namespace entries that are not flags and so cannot come from a config file.
@@ -281,7 +223,14 @@ def _render_series(series: HpmSeries, fmt: str) -> str:
 
 def run_series(args: argparse.Namespace) -> int:
     series = _series_from_args(args)
-    text = _render_series(series, args.format)
+    try:
+        text = _render_series(series, args.format)
+    except ValueError:  # rendering fails only at the int-to-string digit limit
+        raise ValueError(
+            "a coefficient passes Python's int-to-string limit of "
+            f"{sys.get_int_max_str_digits()} digits; lower --order, give --domain-length and "
+            "--epsilon fewer digits, or set the PYTHONINTMAXSTRDIGITS environment variable"
+        ) from None
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -319,6 +268,39 @@ def run_compare(args: argparse.Namespace) -> int:
         emit_svg_figure(report, args.svg, y_window=args.y_window)
         print(f"figure written to {args.svg}")
     return 0
+
+
+# (name, help, flag groups, handler), one row per subcommand, in --help order.
+_COMPARE_GROUPS = (_SERIES_FLAGS, _SHOOT_FLAGS, _COMPARE_FLAGS, _STAMP_FLAGS)
+_SUBCOMMANDS = (
+    ("series", "build the exact correction polynomials",
+     (_SERIES_FLAGS, _SERIES_OUTPUT_FLAGS), run_series),
+    ("shoot", "solve for f''(0) by shooting",
+     (_SHOOT_FLAGS, _TRAJECTORY_FLAGS, _STAMP_FLAGS), run_shoot),
+    ("compare", "compare the series against the numerical solution",
+     _COMPARE_GROUPS, run_compare),
+    ("figure", "emit the comparison figure (requires --svg)",
+     _COMPARE_GROUPS, run_compare),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="flatplate",
+        description="Exact truncated-domain series and shooting solutions "
+        "for the flat-plate boundary layer.",
+        epilog=_EXIT_CODES_HELP,
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, help_text, groups, handler in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text, epilog=_EXIT_CODES_HELP)
+        for group in groups:
+            for flag, keywords in group.items():
+                p.add_argument(flag, **keywords)
+        p.add_argument("--config", help="flat key=value file overriding flag defaults")
+        p.set_defaults(handler=handler, command_parser=p)
+        p._negative_number_matcher = _NEGATIVE_VALUE
+    return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

@@ -181,6 +181,22 @@ _CURVES = (
 )
 
 
+_TICK_STROKE = 'stroke="#444" stroke-width="1"'
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {stroke}/>'
+
+
+def _text(x: float, y: float, size: int, anchor: str | None, body: str) -> str:
+    """A sans-serif label; ``anchor`` None leaves SVG's default, start."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+        f'font-family="sans-serif"{anchor_attr}>{body}</text>'
+    )
+
+
 def _tick_step(span: float, step: float) -> float:
     """``step``, or the smallest 1-2-5 step above it that leaves fewer than
     _MAX_TICKS intervals on ``span``."""
@@ -250,30 +266,16 @@ def emit_svg_figure(
     parts.append(f'<defs><clipPath id="plot-area"><rect {plot_rect}/></clipPath></defs>')
     # frame and ticks
     parts.append(f'<rect {plot_rect} fill="none" stroke="#888" stroke-width="1"/>')
+    bottom = _MARGIN_TOP + plot_h
     for xt in x_ticks:
         px = x_px(xt)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_TOP + plot_h:.2f}" '
-            f'x2="{px:.2f}" y2="{_MARGIN_TOP + plot_h + 5:.2f}" stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_TOP + plot_h + 18:.2f}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="middle">{xt:g}</text>'
-        )
+        parts.append(_line(px, bottom, px, bottom + 5, _TICK_STROKE))
+        parts.append(_text(px, bottom + 18, 12, "middle", f"{xt:g}"))
     for yt in y_ticks:
         py = y_px(yt)
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{py:.2f}" '
-            f'x2="{_MARGIN_LEFT:.2f}" y2="{py:.2f}" stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 9:.2f}" y="{py + 4:.2f}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="end">{yt:.1f}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 8:.2f}" font-size="14" '
-        f'font-family="sans-serif" text-anchor="middle">eta</text>'
-    )
+        parts.append(_line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py, _TICK_STROKE))
+        parts.append(_text(_MARGIN_LEFT - 9, py + 4, 12, "end", f"{yt:.1f}"))
+    parts.append(_text(_MARGIN_LEFT + plot_w / 2, _HEIGHT - 8, 14, "middle", "eta"))
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.2f}" font-size="14" '
         f'font-family="sans-serif" text-anchor="middle" '
@@ -289,13 +291,8 @@ def emit_svg_figure(
     lx = _MARGIN_LEFT + 14.0
     for row, (_, _, label, stroke) in enumerate(_CURVES):
         ly = _MARGIN_TOP + 16.0 + 18 * row
-        parts.append(
-            f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 34:.2f}" y2="{ly:.2f}" {stroke}/>'
-        )
-        parts.append(
-            f'<text x="{lx + 40:.2f}" y="{ly + 4:.2f}" font-size="13" '
-            f'font-family="sans-serif">{label}</text>'
-        )
+        parts.append(_line(lx, ly, lx + 34, ly, stroke))
+        parts.append(_text(lx + 40, ly + 4, 13, None, label))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for part in parts:

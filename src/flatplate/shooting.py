@@ -164,14 +164,16 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     f(eta) = a F(a eta) solves the momentum equation with f''(0) = a^3, so
     f'(eta_max) = 1 becomes (xi/eta_max)^2 F'(xi) = 1 at xi = a eta_max.  The
     left side grows without bound, so the march ends after about
-    a eta_max / step steps.  The root inside the last step is bisected on the
-    cubic Hermite interpolant of F' built from F' and F'' at its two ends.
+    a eta_max / step steps, or at the first step where F' is negative or not
+    finite: there the step is too coarse for RK4 to stay stable.  The root
+    inside the last step is bisected on the cubic Hermite interpolant of F'
+    built from F' and F'' at its two ends.
     """
     eta_max, h = settings.eta_max, settings.step
     xi, Fp, Fpp = 0.0, 0.0, 1.0
     for xi1, _, Fp1, Fpp1 in _march(1.0, itertools.repeat(h, MAX_STEPS)):
         reach = xi1 / eta_max
-        if not reach * reach * Fp1 < 1.0:
+        if not 0.0 <= reach * reach * Fp1 < 1.0:
             break
         xi, Fp, Fpp = xi1, Fp1, Fpp1
     else:
@@ -182,6 +184,11 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     if not math.isfinite(Fp1):
         raise ConvergenceError(
             f"the scaled march overflowed at xi = {xi1:.6g}; step = {h:g} is too coarse"
+        )
+    if Fp1 < 0.0:
+        raise ConvergenceError(
+            f"the scaled march went unstable (F' = {Fp1:.3g} at xi = {xi1:.6g}); "
+            f"step = {h:g} is too coarse"
         )
 
     def defect(x: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, outputs, and the documented exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flatplate.cli import main
+from flatplate.cli import build_parser, main
 from flatplate.hpm import HpmConfig, build_series, series_from_document
 
 
@@ -84,6 +85,20 @@ class TestSeriesCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "4300" in err
         assert "Traceback" not in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("--order", "60", "--domain-length", "1e40"), ("--order", "25", "--epsilon", "1e-300")],
+    )
+    def test_int_string_limit_names_the_levers(self, capsys, tmp_path, flags, fmt):
+        target = tmp_path / "P.out"
+        code, out, err = run(capsys, "series", *flags, "--format", fmt, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "4300" in err
+        for lever in ("--order", "--domain-length", "--epsilon", "PYTHONINTMAXSTRDIGITS"):
+            assert lever in err
         assert not target.exists()
 
     def test_out_to_unwritable_path(self, capsys, tmp_path):
@@ -453,6 +468,16 @@ FLAGS = {
     "compare": _COMPARE_FLAGS,
     "figure": _COMPARE_FLAGS,
 }
+
+
+def test_fuzz_flags_match_the_parser():
+    # a flag the parser has but FLAGS lacks would never be fuzzed
+    actions = build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(FLAGS)
+    for sub, parser in subparsers.choices.items():
+        options = {s for action in parser._actions for s in action.option_strings}
+        assert options - {"-h", "--help", "--config"} == set(FLAGS[sub]), sub
 
 
 @st.composite

@@ -293,6 +293,17 @@ class TestStructuralLaws:
             assert scaled.theta_corrections[1] == base.theta_corrections[1] * (1 / eps)
 
 
+    @pytest.mark.parametrize(
+        "L", [Fraction(5), Fraction(10), Fraction(7, 2), Fraction(1, 3), Fraction(10**12)]
+    )
+    def test_theta_is_minus_f_slope_at_unit_epsilon(self, L):
+        # at eps = 1 both recurrences and their conditions at 0 and L coincide
+        # after theta_j = -f_j'; theta_0 = 1 - f_0' differs by the constant 1
+        series = build_series(HpmConfig(order=25, L=L))
+        for j in range(1, 26):
+            f_slope = series.f_corrections[j].derivative()
+            assert series.theta_corrections[j] == f_slope * -1, j
+
     @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10)])
     def test_dense_support(self, L, eps):

@@ -212,6 +212,13 @@ class TestShooting:
         with pytest.raises(ConvergenceError, match="overflowed"):
             solve_shooting(IntegratorSettings(eta_max=1e100, step=1e100))
 
+    def test_unstable_march_stops_at_negative_slope(self, monkeypatch):
+        # at this step the march turns F' negative near xi = 45.5 and would
+        # never reach the far condition, so it must stop there, not at the budget
+        monkeypatch.setattr(shooting, "MAX_STEPS", 2000)
+        with pytest.raises(ConvergenceError, match="too coarse"):
+            solve_shooting(IntegratorSettings(eta_max=100.0, step=0.1))
+
     @pytest.mark.parametrize("step", [1.0, 2.0])
     def test_too_coarse_step_raises(self, step):
         # step 1 lands on a residual above tol, step 2 on a negative g'(s)
