@@ -225,7 +225,9 @@ def run_series(args: argparse.Namespace) -> int:
     series = _series_from_args(args)
     try:
         text = _render_series(series, args.format)
-    except ValueError:  # rendering fails only at the int-to-string digit limit
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
         raise ValueError(
             "a coefficient passes Python's int-to-string limit of "
             f"{sys.get_int_max_str_digits()} digits; lower --order, give --domain-length and "

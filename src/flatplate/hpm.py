@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
 from typing import Sequence
 
 from .exact import (
@@ -46,8 +44,8 @@ from .exact import (
 
 
 # Highest accepted order.  Build time grows about as the fourth power of the
-# order (0.21 s at order 60 and L = 5 on a 2-vCPU host, 0.05 s at order 40;
-# 0.23 s at order 60 and L = 10^20, 0.5 s at L = 10^300), so an unchecked
+# order (0.25 s at order 60 and L = 5 on a 2-vCPU host, 0.05 s at order 40;
+# 0.36 s at order 60 and L = 10^20, 1.0 s at L = 10^300), so an unchecked
 # order is an unbounded computation.
 MAX_ORDER = 60
 
@@ -206,26 +204,21 @@ def recurrence_step_theta(
     return _integrate_and_fit(rhs, Fraction(-1, 2) / epsilon, divisors, [1] * (j + 1))
 
 
-def _powers(base: int, top: int) -> list[int]:
-    """[base^0, base^1, ..., base^top], one multiplication each."""
-    return list(accumulate(repeat(base, top), mul, initial=1))
-
-
 def _coefficients(
-    j: int, correction: DenseCorrection, offset: int, p_powers: list[int], q_powers: list[int]
+    j: int, correction: DenseCorrection, offset: int, L: Fraction
 ) -> dict[int, Fraction]:
-    """Place the dense order-j correction at L = p/q: the coefficient of
-    eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike, with the
-    powers of p and q looked up in ``p_powers`` and ``q_powers``.  One
+    """Place the dense order-j correction at L: the coefficient of
+    eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike.  One
     Fraction (and one gcd) per coefficient."""
     nums, den = correction
+    p, q = L.numerator, L.denominator
     coeffs = {}
     for m, n in enumerate(nums):
         k = 2 * j - 1 - 3 * m
         if k >= 0:
-            coeffs[3 * m + offset] = Fraction(n * p_powers[k], den * q_powers[k])
+            coeffs[3 * m + offset] = Fraction(n * p**k, den * q**k)
         else:
-            coeffs[3 * m + offset] = Fraction(n * q_powers[-k], den * p_powers[-k])
+            coeffs[3 * m + offset] = Fraction(n * q**-k, den * p**-k)
     return coeffs
 
 
@@ -242,13 +235,11 @@ def build_series(config: HpmConfig) -> HpmSeries:
     for j in range(1, config.order + 1):
         f_list.append(recurrence_step_f(j, f_list))
         theta_list.append(recurrence_step_theta(j, f_list[:j], theta_list, config.epsilon))
-    # each power once per build: |2j-1-3m| <= 2 * order + 1 for 0 <= m <= j <= order
-    top = 2 * config.order + 1
-    powers = _powers(config.L.numerator, top), _powers(config.L.denominator, top)
-    theta_coeffs = [_coefficients(j, c, 1, *powers) for j, c in enumerate(theta_list)]
+    L = config.L
+    theta_coeffs = [_coefficients(j, c, 1, L) for j, c in enumerate(theta_list)]
     theta_coeffs[0][0] = Fraction(1)  # the constant the dense form leaves out
     return HpmSeries(
-        tuple(RationalPolynomial(_coefficients(j, c, 2, *powers)) for j, c in enumerate(f_list)),
+        tuple(RationalPolynomial(_coefficients(j, c, 2, L)) for j, c in enumerate(f_list)),
         tuple(RationalPolynomial(c) for c in theta_coeffs),
         config,
     )

@@ -101,6 +101,17 @@ class TestSeriesCommand:
             assert lever in err
         assert not target.exists()
 
+    def test_other_render_errors_keep_their_message(self, capsys, monkeypatch):
+        import flatplate.cli
+
+        def fail(series, fmt):
+            raise ValueError("no such component")
+
+        monkeypatch.setattr(flatplate.cli, "_render_series", fail)
+        code, out, err = run(capsys, "series", "--order", "0")
+        assert code == 2 and out == ""
+        assert err == "error: no such component\n"
+
     def test_out_to_unwritable_path(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "series.json"
         code, _, err = run(capsys, "series", "--format", "json", "--out", str(target))
