@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Rows formatted by one ``%`` operation.  Bounds the cell objects and text
 # alive at once, whatever the length of the columns.
@@ -38,6 +39,8 @@ def write_csv(
     8 - floor(log10 |v|), taken with ``math.log10`` as there: ``np.log10``
     rounds some values differently.
     """
+    import numpy as np
+
     row_format = ",".join(["%.*f"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in stamp_lines:

@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shlex
 import sys
-from datetime import datetime, timezone
 from typing import Sequence
 
 from .exact import as_rational
@@ -174,6 +172,9 @@ def _config_defaults(args: argparse.Namespace) -> dict:
 def _stamp_lines(args: argparse.Namespace) -> tuple[str, ...]:
     if not getattr(args, "stamp", False):
         return ()
+    import shlex  # only stamped runs pay for these imports
+    from datetime import datetime, timezone
+
     when = datetime.now(timezone.utc).replace(microsecond=0).isoformat()
     # shell-quoted, and one line whatever the paths hold, so it stays a comment
     invocation = shlex.join(["flatplate", *args.raw_argv])

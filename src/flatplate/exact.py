@@ -17,10 +17,12 @@ only; the rational path is the source of truth.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -178,7 +180,9 @@ class RationalPolynomial:
             descending = sorted(self._coeffs.items(), reverse=True)
             terms = tuple((p, float(c)) for p, c in descending) or ((0, 0.0),)
             self._float_terms = terms
-        if isinstance(x, np.ndarray):
+        # no ndarray exists before numpy is imported, so a scalar needs no import
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(x, np.ndarray):
             # inf and nan arise silently in the scalar path too
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._horner(terms, _GridPowers(x))
@@ -246,10 +250,14 @@ class _GridPowers:
     __slots__ = ("points", "exponent", "power")
 
     def __init__(self, points: np.ndarray):
+        import numpy as np
+
         self.points = np.asarray(points, dtype=np.float64)
         self.exponent, self.power = None, None
 
     def __pow__(self, exponent: int) -> np.ndarray:
+        import numpy as np
+
         if exponent != self.exponent:
             self.power = None  # free the previous power before making the next
             flat, gap = self.points.ravel(), itertools.repeat(exponent)

@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from ._format import CHUNK_ROWS, write_csv
 from .hpm import HpmSeries
@@ -42,7 +43,8 @@ def round_half_up(value: float, decimals: int) -> str:
 class Grid:
     """Uniform eta grid; stop must be an integer number of steps from start.
 
-    At most MAX_STEPS points, which ``compare`` evaluates as one array.
+    At least two and at most MAX_STEPS points, which ``compare`` evaluates
+    as one array.
     """
 
     start: float = 0.0
@@ -67,8 +69,14 @@ class Grid:
             raise ValueError(
                 f"grid stop {self.stop} is not reachable from {self.start} in steps of {self.step}"
             )
+        if round(span) < 1:  # a span within the reachability tolerance of zero steps
+            raise ValueError(
+                f"grid {self.start}..{self.stop} is shorter than one step of {self.step}"
+            )
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         n = int(round((self.stop - self.start) / self.step))
         return self.start + self.step * np.arange(n + 1)
 
@@ -103,6 +111,8 @@ def compare(
     and is None when there are none.  The probe deviation is evaluated only
     when the probe lies inside the grid range; callers see None otherwise.
     """
+    import numpy as np
+
     if not math.isfinite(probe_eta):
         raise ValueError(f"probe eta must be finite, got {probe_eta!r}")
     eta = grid.points()
@@ -222,8 +232,10 @@ def emit_svg_figure(
     polynomial tail visibly leaves the frame instead of flattening the part
     of the picture where the two curves agree.
     """
-    if len(report.rows) == 0:
-        raise ValueError("cannot plot an empty report")
+    import numpy as np
+
+    if len(report.rows) < 2:
+        raise ValueError(f"cannot plot fewer than two grid points, got {len(report.rows)}")
     check_y_window(y_window)
     y_lo, y_hi = y_window
     eta = report.rows[:, 0]

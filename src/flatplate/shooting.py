@@ -29,9 +29,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from ._format import write_csv
 
@@ -141,6 +142,8 @@ def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
     Raises DivergenceError at the first step where |f''| passes
     DIVERGENCE_LIMIT or the state stops being finite.
     """
+    import numpy as np
+
     if not math.isfinite(s):
         raise ValueError(f"initial slope must be finite, got {s!r}")
     steps = _steps(settings)
@@ -248,6 +251,8 @@ def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
     normalization; for epsilon -> infinity the profile tends to the straight
     line 1 - eta/eta_max.
     """
+    import numpy as np
+
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     eta = trajectory.eta

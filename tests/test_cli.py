@@ -230,6 +230,17 @@ class TestCompareCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub", ["compare", "figure"])
+    def test_grid_shorter_than_one_step_exit_2_with_one_line(self, capsys, tmp_path, sub):
+        # the span is 1e-7 steps, within the reachability tolerance of zero
+        svg_path, csv_path = tmp_path / "f.svg", tmp_path / "c.csv"
+        code, out, err = run(capsys, sub, "--svg", str(svg_path), "--csv", str(csv_path),
+                             "--grid", "0:1e-7:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not svg_path.exists() and not csv_path.exists()
+
     @pytest.mark.parametrize("sub,svg", [("compare", False), ("compare", True), ("figure", True)])
     @pytest.mark.parametrize("window", ["0,inf", "1,1", "nan,1"])
     def test_unusable_window_rejected_before_any_solve(self, capsys, tmp_path, sub, svg, window):
@@ -466,7 +477,7 @@ _SHOOT_FLAGS = {
 _COMPARE_FLAGS = {
     **_SERIES_FLAGS,
     **_SHOOT_FLAGS,
-    "--grid": _values("0:6:0.5", "-1:5:0.1", "0:20000:100"),
+    "--grid": _values("0:6:0.5", "-1:5:0.1", "0:20000:100", "0:1e-7:1"),
     "--probe": _values("10", "2.5"),
     "--y-window": _values("-0.2,1.4", "-1,2", "0,1e8"),
     "--with-theta": None,
@@ -552,6 +563,7 @@ class TestMainFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(argv=argv_for_main())
     @example(argv=["compare", "--grid", "0:inf:1"])
+    @example(argv=["figure", "--svg", "{tmp}/out", "--grid", "0:1e-7:1"])
     @example(argv=["compare", "--probe", "-inf"])
     @example(argv=["series", "--domain-length", "1e-300"])
     def test_exit_code_without_traceback(self, out_dir, argv):

@@ -1,0 +1,52 @@
+"""Which runs load numpy: only those that make an array."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MAIN = "from flatplate.cli import main\nif main({argv!r}):\n    sys.exit('exit code not 0')"
+
+
+def numpy_loaded_by(tmp_path, statement: str) -> bool:
+    """Whether ``statement``, run in a fresh interpreter, imports numpy.
+
+    Modules loaded before it, such as whatever ``site`` loads on a given
+    host, do not count.
+    """
+    source = (
+        f"import sys\nbefore = set(sys.modules)\n{statement}\n"
+        "print('numpy' in set(sys.modules) - before)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", source], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import flatplate",
+        "import flatplate.cli",
+        *(MAIN.format(argv=["series", "--format", fmt, "--out", f"series.{fmt}"])
+          for fmt in ("json", "csv", "pretty")),
+        MAIN.format(argv=["series"]),
+        MAIN.format(argv=["--help"]),
+    ],
+    ids=["import-flatplate", "import-cli", "series-json", "series-csv", "series-pretty",
+         "series-stdout", "help"],
+)
+def test_runs_without_arrays_never_load_numpy(tmp_path, statement):
+    assert not numpy_loaded_by(tmp_path, statement)
+
+
+def test_compare_loads_numpy(tmp_path):
+    # the control: a run that makes arrays loads it
+    assert numpy_loaded_by(tmp_path, MAIN.format(argv=["compare"]))

@@ -1,5 +1,6 @@
 """Comparison metrics, CSV layout, and the SVG figure."""
 
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -55,6 +56,7 @@ class TestGrid:
             {"step": 1e-9},
             {"start": -1e308, "stop": 1e308, "step": 1e300},
             {"stop": float(MAX_STEPS), "step": 1.0},
+            {"stop": 1e-7, "step": 1.0},  # reachable within tolerance, but zero steps
         ],
     )
     def test_validation(self, kwargs):
@@ -214,6 +216,15 @@ class TestSvg:
         text = out.read_text()
         assert "http://www.w3.org/2000/svg" in text
         assert "href" not in text  # no external references
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_rejects_fewer_than_two_rows(self, tmp_path, default_report, n_rows):
+        # one row used to divide by the zero x span
+        short = dataclasses.replace(default_report, rows=default_report.rows[:n_rows])
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="fewer than two grid points"):
+            emit_svg_figure(short, out)
+        assert not out.exists()
 
     def test_rejects_bad_window(self, tmp_path, default_report):
         with pytest.raises(ValueError):
