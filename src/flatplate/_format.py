@@ -13,31 +13,18 @@ if TYPE_CHECKING:
 CHUNK_ROWS = 128
 
 
-def sig9(value: float) -> str:
-    """Fixed-point decimal with at least 9 significant digits.
-
-    Uses 9 decimals for |v| >= 0.1 (and for exact zero), and widens the
-    fractional part for smaller magnitudes so leading zeros never eat into
-    the significant-digit budget.
-    """
-    v = float(value)
-    if v == 0.0 or not math.isfinite(v):
-        return f"{v:.9f}"
-    decimals = max(9, 9 - (math.floor(math.log10(abs(v))) + 1))
-    return f"{v:.{decimals}f}"
-
-
 def write_csv(
     path, header: str, columns: Sequence[np.ndarray], stamp_lines: Sequence[str] = ()
 ) -> None:
     """Write '# ' stamp comments, the header, then one row per index of the
-    equal-length float ``columns``, each cell as ``sig9`` writes it, LF endings.
+    equal-length float ``columns``, each cell a fixed-point decimal with at
+    least 9 significant digits, LF endings.
 
     ``stamp_lines`` are empty by default, so identical data serializes
     byte-identically.  Rows are stacked and formatted CHUNK_ROWS at a time.
-    A cell gets 9 decimals unless 0 < |v| < 0.1, where ``sig9`` gives
-    8 - floor(log10 |v|), taken with ``math.log10`` as there: ``np.log10``
-    rounds some values differently.
+    A cell gets 9 decimals unless 0 < |v| < 0.1, where it gets
+    8 - floor(log10 |v|), taken with ``math.log10``: ``np.log10`` rounds
+    some values differently.
     """
     import numpy as np
 

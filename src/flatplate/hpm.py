@@ -111,13 +111,13 @@ class HpmSeries:
 
 
 # The engine works at L = 1, on a dense integer form of each correction:
-# numerators n[0..j] of the powers eta^(3m+2) (f_j) or eta^(3m+1) (theta_j,
-# with the constant 1 of theta_0 left out, since only theta' enters the
-# recurrence) over one positive denominator.  No term falls outside these
-# powers: f_k f''_i and f_k theta'_i live on the powers 3p+2, the
-# antiderivatives move them to 3p+5 and 3p+4, and the fitted homogeneous
-# terms are eta^2 and eta.  Integers with one gcd per correction replace a
-# Fraction (and its gcd) per operation.  L is a length scale only,
+# numerators n[0..j] of the powers eta^(3m+offset) over one positive
+# denominator, with offset 2 for f_j and 1 for theta_j (the constant 1 of
+# theta_0 is left out, since only theta' enters the recurrence).  No term
+# falls outside these powers: f_k f''_i and f_k theta'_i live on the powers
+# 3p+2, the antiderivatives move them to 3p+3+offset, and the fitted
+# homogeneous term is eta^offset.  Integers with one gcd per correction
+# replace a Fraction (and its gcd) per operation.  L is a length scale only,
 # f_j(eta) = L^(2j+1) f_j^(L=1)(eta/L) and theta_j(eta) = L^(2j)
 # theta_j^(L=1)(eta/L), so it enters once, in _coefficients, and the
 # integers of the recurrence do not grow with the digits of L.
@@ -142,20 +142,21 @@ def _convolve(left: Sequence[DenseCorrection], right: Sequence[DenseCorrection])
     return acc, den
 
 
-def _integrate_and_fit(
-    rhs: DenseCorrection,
-    factor: Fraction,
-    divisors: Sequence[int],
-    fit_weights: Sequence[int],
-) -> DenseCorrection:
-    """Integrate factor * rhs term-wise, then fit the homogeneous term at 1.
+def _step(j: int, prior_f: Sequence[DenseCorrection], prior: Sequence[DenseCorrection],
+          offset: int, factor: Fraction) -> DenseCorrection:
+    """Order-j correction u_j of u^(offset+1) = factor * sum_{k<j} f_k u^(offset)_{j-1-k}
+    at L = 1, u being f (offset 2) or theta (offset 1); ``prior_f`` holds
+    f_0..f_{j-1} and ``prior`` u_0..u_{j-1}.
 
-    The antiderivative divides the numerator in slot p by ``divisors[p]`` and
-    moves it to slot p+1.  Slot 0 is then fitted so that
-    sum_m fit_weights[m] n[m] = 0: the far condition f_j'(1) = 0
-    (weights 3m+2) or theta_j(1) = 0 (weights 1).
+    The antiderivative divides slot p by (3p+3)...(3p+3+offset) and moves it
+    to slot p+1; slot 0 (eta^offset) is then fitted so that u^(offset-1)(1) = 0.
+    Derivative weights, divisors and fit weights are falling factorials of the offset.
     """
-    nums, den = rhs
+    weights = [math.perm(3 * m + offset, offset) for m in range(j)]
+    derivative = [([w * n for w, n in zip(weights, nums)], den) for nums, den in prior]
+    nums, den = _convolve(prior_f, derivative)
+    divisors = [math.perm(3 * p + 3 + offset, offset + 1) for p in range(j)]
+    fit_weights = [math.perm(3 * m + offset, offset - 1) for m in range(j + 1)]
     M = math.lcm(*divisors)
     nums = [0] + [n * factor.numerator * (M // t) for n, t in zip(nums, divisors)]
     den *= M * factor.denominator
@@ -175,14 +176,7 @@ def recurrence_step_f(j: int, prior_f: Sequence[DenseCorrection]) -> DenseCorrec
     f_j(0)=0 and f_j'(0)=0 exclude the 1 and eta homogeneous terms, and the
     remaining c*eta^2 term is fixed by f_j'(1) = 0.
     """
-    curvature = [
-        ([(3 * m + 2) * (3 * m + 1) * n for m, n in enumerate(nums)], den)
-        for nums, den in prior_f
-    ]
-    divisors = [(3 * p + 3) * (3 * p + 4) * (3 * p + 5) for p in range(j)]
-    rhs = _convolve(prior_f, curvature)
-    fit_weights = [3 * m + 2 for m in range(j + 1)]
-    return _integrate_and_fit(rhs, Fraction(-1, 2), divisors, fit_weights)
+    return _step(j, prior_f, prior_f, 2, Fraction(-1, 2))
 
 
 def recurrence_step_theta(
@@ -198,10 +192,7 @@ def recurrence_step_theta(
     is fixed by theta_j(1) = 0.  Division by eps happens here, which is why
     eps = 0 is rejected at config construction.
     """
-    slope = [([(3 * m + 1) * n for m, n in enumerate(nums)], den) for nums, den in prior_theta]
-    divisors = [(3 * p + 3) * (3 * p + 4) for p in range(j)]
-    rhs = _convolve(prior_f, slope)
-    return _integrate_and_fit(rhs, Fraction(-1, 2) / epsilon, divisors, [1] * (j + 1))
+    return _step(j, prior_f, prior_theta, 1, Fraction(-1, 2) / epsilon)
 
 
 def _coefficients(
@@ -222,19 +213,27 @@ def _coefficients(
     return coeffs
 
 
-def build_series(config: HpmConfig) -> HpmSeries:
-    """Construct all corrections 0..config.order.  Deterministic and exact.
+def _unit_corrections(
+    order: int, epsilon: Fraction
+) -> tuple[list[DenseCorrection], list[DenseCorrection]]:
+    """The dense f and theta corrections 0..order at L = 1: the L-free half of a build.
 
-    The order-0 pair at L = 1 solves f_0''' = 0 with f_0(0)=0, f_0'(0)=0,
-    f_0'(1)=1 and theta_0'' = 0 with theta_0(0)=1, theta_0(1)=0: f_0 = eta^2/2
-    and theta_0 = 1 - eta.  Each correction becomes a RationalPolynomial
-    once, after the last order, when the scaling law places it at L.
+    The order-0 pair solves f_0''' = 0 with f_0(0)=0, f_0'(0)=0, f_0'(1)=1
+    and theta_0'' = 0 with theta_0(0)=1, theta_0(1)=0: f_0 = eta^2/2 and
+    theta_0 = 1 - eta.  theta_j needs only f_0..f_{j-1}, so it comes first.
     """
     f_list = [([1], 2)]
     theta_list = [([-1], 1)]
-    for j in range(1, config.order + 1):
+    for j in range(1, order + 1):
+        theta_list.append(recurrence_step_theta(j, f_list, theta_list, epsilon))
         f_list.append(recurrence_step_f(j, f_list))
-        theta_list.append(recurrence_step_theta(j, f_list[:j], theta_list, config.epsilon))
+    return f_list, theta_list
+
+
+def build_series(config: HpmConfig) -> HpmSeries:
+    """Construct all corrections 0..config.order at L = 1, then place each at L
+    as a RationalPolynomial by the scaling law.  Deterministic and exact."""
+    f_list, theta_list = _unit_corrections(config.order, config.epsilon)
     L = config.L
     theta_coeffs = [_coefficients(j, c, 1, L) for j, c in enumerate(theta_list)]
     theta_coeffs[0][0] = Fraction(1)  # the constant the dense form leaves out

@@ -1,16 +1,30 @@
-"""The shared CSV writer against its per-cell definition, ``sig9``."""
+"""The shared CSV writer against ``sig9``, a per-cell definition of its format kept here."""
 
 import math
 
 import numpy as np
 import pytest
 
-from flatplate._format import CHUNK_ROWS, sig9, write_csv
+from flatplate._format import CHUNK_ROWS, write_csv
 
 # zeros, non-finite values, subnormals, and both sides of the 0.1 and 1e-3
 # boundaries where sig9 widens the decimals
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-310, 0.1,
            0.09999999999999999, 1e-3, 9.999999999999999e-4, 1e300]
+
+
+def sig9(value: float) -> str:
+    """Fixed-point decimal with at least 9 significant digits.
+
+    Uses 9 decimals for |v| >= 0.1 (and for exact zero), and widens the
+    fractional part for smaller magnitudes so leading zeros never eat into
+    the significant-digit budget.
+    """
+    v = float(value)
+    if v == 0.0 or not math.isfinite(v):
+        return f"{v:.9f}"
+    decimals = max(9, 9 - (math.floor(math.log10(abs(v))) + 1))
+    return f"{v:.{decimals}f}"
 
 
 def reference_csv(header, columns, stamp_lines=()) -> bytes:

@@ -7,13 +7,16 @@ at eta = L.  They are frozen as plain fractions so the test stays
 independent of the code path it checks.
 """
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatplate import hpm
 from flatplate.exact import RationalPolynomial
 from flatplate.hpm import (
     MAX_ORDER,
@@ -208,7 +211,7 @@ class TestBuildSeries:
          Fraction(1, 3), Fraction(10**12), Fraction(1, 10**12),
          Fraction(123456789, 987654321)],
     )
-    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(7, 10)])
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(7, 10), Fraction(1, 7)])
     def test_matches_reference_corrections(self, L, eps):
         """Correction j does not depend on the total order, so order 20 covers
         the documents of orders 0-20 as well.  The lengths far from 1 and with
@@ -222,6 +225,22 @@ class TestBuildSeries:
         reference = HpmSeries(tuple(f), tuple(theta), config)
         text = json.dumps(series_to_document(series), indent=2)
         assert text == json.dumps(series_to_document(reference), indent=2)
+
+
+def test_benchmark_tracer_still_sees_the_engine():
+    """bench/tracer.py wraps both recurrence steps and build_series by name, so
+    the build must reach them through the module globals to be traced."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        hpm.build_series(HpmConfig(order=5))
+    assert hpm.build_series is build_series
+    names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
+    metrics = tracer.metrics()
+    assert {name: metrics.get(name) for name in names} == dict(zip(names, (5, 5, 1)))
 
 
 @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
