@@ -41,7 +41,8 @@ from ._format import write_csv
 DIVERGENCE_LIMIT = 1.0e6
 
 # Upper bound on eta_max/step and on the steps of the scaled march.  A stored
-# trajectory peaks at about 73 bytes per step, so one run stays under 80 MB.
+# trajectory peaks at about 73 bytes per step (tracemalloc: 857 KiB for 12 001
+# states, 73.0 MB for 10^6), so one run stays under 80 MB.
 MAX_STEPS = 10**6
 
 class ShootingError(Exception):
@@ -119,18 +120,22 @@ def _steps(settings: IntegratorSettings) -> list[float]:
 def _march(s: float, steps):
     """Classical RK4 from (eta, f, f', f'') = (0, 0, 0, s): the state after each step."""
     eta, f, fp, fpp = 0.0, 0.0, 0.0, float(s)
-    for h in steps:
-        k1_f, k1_fp, k1_fpp = fp, fpp, -0.5 * f * fpp
-        f2, fp2, fpp2 = f + 0.5 * h * k1_f, fp + 0.5 * h * k1_fp, fpp + 0.5 * h * k1_fpp
-        k2_f, k2_fp, k2_fpp = fp2, fpp2, -0.5 * f2 * fpp2
-        f3, fp3, fpp3 = f + 0.5 * h * k2_f, fp + 0.5 * h * k2_fp, fpp + 0.5 * h * k2_fpp
-        k3_f, k3_fp, k3_fpp = fp3, fpp3, -0.5 * f3 * fpp3
-        f4, fp4, fpp4 = f + h * k3_f, fp + h * k3_fp, fpp + h * k3_fpp
-        k4_f, k4_fp, k4_fpp = fp4, fpp4, -0.5 * f4 * fpp4
+    h = None
+    for step in steps:
+        if step != h:  # a uniform grid changes step at most once, at its partial step
+            h, half, sixth = step, 0.5 * step, step / 6.0
+        # the stage slopes of f and f' are the stage values of f' and f''
+        k1 = -0.5 * f * fpp
+        f2, fp2, fpp2 = f + half * fp, fp + half * fpp, fpp + half * k1
+        k2 = -0.5 * f2 * fpp2
+        f3, fp3, fpp3 = f + half * fp2, fp + half * fpp2, fpp + half * k2
+        k3 = -0.5 * f3 * fpp3
+        f4, fp4, fpp4 = f + h * fp3, fp + h * fpp3, fpp + h * k3
+        k4 = -0.5 * f4 * fpp4
         f, fp, fpp = (
-            f + h / 6.0 * (k1_f + 2.0 * k2_f + 2.0 * k3_f + k4_f),
-            fp + h / 6.0 * (k1_fp + 2.0 * k2_fp + 2.0 * k3_fp + k4_fp),
-            fpp + h / 6.0 * (k1_fpp + 2.0 * k2_fpp + 2.0 * k3_fpp + k4_fpp),
+            f + sixth * (fp + 2.0 * fp2 + 2.0 * fp3 + fp4),
+            fp + sixth * (fpp + 2.0 * fpp2 + 2.0 * fpp3 + fpp4),
+            fpp + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
         )
         eta += h
         yield eta, f, fp, fpp
@@ -147,11 +152,13 @@ def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
     if not math.isfinite(s):
         raise ValueError(f"initial slope must be finite, got {s!r}")
     steps = _steps(settings)
+    # one flat float stream: a (float64, 4) sub-array dtype costs far more per row
+    stream = itertools.chain.from_iterable(_march(s, steps))
     states = np.fromiter(
-        itertools.chain([(0.0, 0.0, 0.0, float(s))], _march(s, steps)),
-        dtype=np.dtype((np.float64, 4)),
-        count=len(steps) + 1,
-    )
+        itertools.chain((0.0, 0.0, 0.0, float(s)), stream),
+        np.float64,
+        count=4 * (len(steps) + 1),
+    ).reshape(-1, 4)
     marched = states[1:]
     bad = (np.abs(marched[:, 3]) > DIVERGENCE_LIMIT) | ~np.isfinite(marched).all(axis=1)
     if bad.any():

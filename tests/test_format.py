@@ -51,7 +51,11 @@ def test_special_values(tmp_path):
 
 
 @pytest.mark.parametrize("stamp_lines", [(), ("run=demo", "seed=7")], ids=["plain", "stamped"])
-@pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize(
+    "rows",
+    # 127-129 lie inside one chunk; the rest sit on the chunk boundaries
+    [0, 1, 127, 128, 129, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1],
+)
 def test_log_uniform_block(tmp_path, rows, stamp_lines):
     columns = log_uniform_block(rows, seed=rows)
     out = tmp_path / "block.csv"

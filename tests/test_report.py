@@ -1,13 +1,18 @@
 """Comparison metrics, CSV layout, and the SVG figure."""
 
 import dataclasses
+import importlib.util
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flatplate import report as report_module
+from flatplate import shooting
+from flatplate._format import CHUNK_ROWS
 from flatplate.report import (
     Grid,
     compare,
@@ -16,7 +21,7 @@ from flatplate.report import (
     round_half_up,
     summary_lines,
 )
-from flatplate.shooting import MAX_STEPS
+from flatplate.shooting import MAX_STEPS, IntegratorSettings
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -177,7 +182,38 @@ class TestCsv:
         assert len(lines[1].split(",")) == 5
 
 
+def reference_points(rows: np.ndarray, column: int, y_window: tuple[float, float]) -> str:
+    """The polyline ``points`` of one report column, one scalar point at a time."""
+    plot_w = report_module._WIDTH - report_module._MARGIN_LEFT - report_module._MARGIN_RIGHT
+    plot_h = report_module._HEIGHT - report_module._MARGIN_TOP - report_module._MARGIN_BOTTOM
+    y_lo, y_hi = y_window
+    x_lo, x_hi = float(rows[0, 0]), float(rows[-1, 0])
+    limit = report_module._Y_PX_LIMIT
+    points = []
+    for x, y in zip(rows[:, 0].tolist(), rows[:, column].tolist()):
+        x_px = report_module._MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        y_px = report_module._MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        points.append(f"{x_px:.2f},{min(max(y_px, -limit), limit):.2f}")
+    return " ".join(points)
+
+
 class TestSvg:
+    @pytest.mark.parametrize(
+        "n_points", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("window", [(-0.2, 1.4), (0.0, 1e-3)], ids=["default", "clamped"])
+    def test_points_match_per_point_reference(self, tmp_path, series_order3, default_shot,
+                                              n_points, window):
+        # the narrow window pushes the divergent tail past the pixel clamp
+        report = compare(series_order3, default_shot, Grid(stop=12.0, step=12.0 / (n_points - 1)))
+        assert len(report.rows) == n_points
+        out = tmp_path / "figure.svg"
+        emit_svg_figure(report, out, y_window=window)
+        polylines = ET.parse(out).getroot().iter(f"{SVG_NS}polyline")
+        by_id = {p.get("id"): p.get("points") for p in polylines}
+        assert by_id["numerical"] == reference_points(report.rows, 1, window)
+        assert by_id["hpm"] == reference_points(report.rows, 2, window)
+
     def test_structure(self, tmp_path, default_report):
         out = tmp_path / "figure.svg"
         emit_svg_figure(default_report, out)
@@ -255,3 +291,21 @@ class TestSvg:
         y_ticks = [t for t in ticks if t.get("y1") == t.get("y2")]
         assert len(x_ticks) + len(y_ticks) == len(ticks)
         assert 2 <= len(x_ticks) <= 16 and 2 <= len(y_ticks) <= 16
+
+
+def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3):
+    """bench/tracer.py wraps solve_shooting, integrate_blasius, compare and
+    emit_csv by name, so calls must go through the module globals to be traced."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        shot = shooting.solve_shooting(IntegratorSettings(eta_max=2.0, step=0.01))
+        report = report_module.compare(series_order3, shot)
+        report_module.emit_csv(report, tmp_path / "profiles.csv")
+    names = ("shooting.solve_calls", "shooting.integrate_calls", "report.compare_calls",
+             "report.emit_csv_calls", "shooting.iterations")
+    metrics = tracer.metrics()
+    assert {name: metrics.get(name) for name in names} == dict(zip(names, (1, 1, 1, 1, 2)))

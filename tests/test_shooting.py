@@ -73,37 +73,44 @@ class TestSettings:
         IntegratorSettings(eta_max=1.0, step=1.0 / shooting.MAX_STEPS)
 
 
+def reference_rk4_step(f, fp, fpp, h):
+    """One classical RK4 step as the integrator used to spell it, constants inline."""
+    k1_f, k1_fp, k1_fpp = fp, fpp, -0.5 * f * fpp
+    f2, fp2, fpp2 = f + 0.5 * h * k1_f, fp + 0.5 * h * k1_fp, fpp + 0.5 * h * k1_fpp
+    k2_f, k2_fp, k2_fpp = fp2, fpp2, -0.5 * f2 * fpp2
+    f3, fp3, fpp3 = f + 0.5 * h * k2_f, fp + 0.5 * h * k2_fp, fpp + 0.5 * h * k2_fpp
+    k3_f, k3_fp, k3_fpp = fp3, fpp3, -0.5 * f3 * fpp3
+    f4, fp4, fpp4 = f + h * k3_f, fp + h * k3_fp, fpp + h * k3_fpp
+    k4_f, k4_fp, k4_fpp = fp4, fpp4, -0.5 * f4 * fpp4
+    return (
+        f + h / 6.0 * (k1_f + 2.0 * k2_f + 2.0 * k3_f + k4_f),
+        fp + h / 6.0 * (k1_fp + 2.0 * k2_fp + 2.0 * k3_fp + k4_fp),
+        fpp + h / 6.0 * (k1_fpp + 2.0 * k2_fpp + 2.0 * k3_fpp + k4_fpp),
+    )
+
+
+def reference_step_march(s, steps):
+    """A stand-in for ``shooting._march`` that takes each step with ``reference_rk4_step``."""
+    eta, f, fp, fpp = 0.0, 0.0, 0.0, float(s)
+    for h in steps:
+        f, fp, fpp = reference_rk4_step(f, fp, fpp, h)
+        eta += h
+        yield eta, f, fp, fpp
+
+
 def reference_march(s, settings):
     """The stored RK4 loop integrate_blasius used to run, one call per step.
 
     Kept here as an oracle: the integrator must reproduce its arrays bit for
     bit, divergence location included.
     """
-
-    def rk4_step(f, fp, fpp, h):
-        k1_f, k1_fp, k1_fpp = fp, fpp, -0.5 * f * fpp
-        f2, fp2, fpp2 = f + 0.5 * h * k1_f, fp + 0.5 * h * k1_fp, fpp + 0.5 * h * k1_fpp
-        k2_f, k2_fp, k2_fpp = fp2, fpp2, -0.5 * f2 * fpp2
-        f3, fp3, fpp3 = f + 0.5 * h * k2_f, fp + 0.5 * h * k2_fp, fpp + 0.5 * h * k2_fpp
-        k3_f, k3_fp, k3_fpp = fp3, fpp3, -0.5 * f3 * fpp3
-        f4, fp4, fpp4 = f + h * k3_f, fp + h * k3_fp, fpp + h * k3_fpp
-        k4_f, k4_fp, k4_fpp = fp4, fpp4, -0.5 * f4 * fpp4
-        return (
-            f + h / 6.0 * (k1_f + 2.0 * k2_f + 2.0 * k3_f + k4_f),
-            fp + h / 6.0 * (k1_fp + 2.0 * k2_fp + 2.0 * k3_fp + k4_fp),
-            fpp + h / 6.0 * (k1_fpp + 2.0 * k2_fpp + 2.0 * k3_fpp + k4_fpp),
-        )
-
     n_full = int(math.floor(settings.eta_max / settings.step + 1.0e-9))
     remainder = settings.eta_max - n_full * settings.step
     steps = [settings.step] * n_full
     if remainder > 1.0e-12 * settings.eta_max:
         steps.append(remainder)
-    eta, f, fp, fpp = 0.0, 0.0, 0.0, float(s)
-    rows = [(eta, f, fp, fpp)]
-    for h in steps:
-        f, fp, fpp = rk4_step(f, fp, fpp, h)
-        eta += h
+    rows = [(0.0, 0.0, 0.0, float(s))]
+    for eta, f, fp, fpp in reference_step_march(s, steps):
         if abs(fpp) > shooting.DIVERGENCE_LIMIT or not (
             math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)
         ):
@@ -116,17 +123,45 @@ def reference_march(s, settings):
 class TestIntegrator:
     @pytest.mark.parametrize(
         "s, eta_max, step",
-        [(0.332, 10.0, 1e-3), (0.332, 2.5, 0.3), (0.332, 0.5, 0.01)],
+        [
+            (0.332, 10.0, 1e-3),
+            (0.332, 2.5, 0.3),  # ends on a partial step of 0.1
+            (0.332, 0.5, 0.01),
+            (1.0, 7.0, 1e-3),  # F of the scaled march
+            (2.0, 0.5, 0.01),
+            (0.332, 1.05, 0.1),  # ends on a partial step of 0.05
+            (-1.0, 10.0, 0.01),  # diverges
+        ],
     )
     def test_matches_reference_march(self, s, eta_max, step):
-        # eta_max 2.5 at step 0.3 ends on a partial step of 0.1
         settings = IntegratorSettings(eta_max=eta_max, step=step)
+        try:
+            expected = reference_march(s, settings)
+        except DivergenceError as ref:
+            with pytest.raises(DivergenceError) as err:
+                integrate_blasius(s, settings)
+            assert err.value.eta == ref.eta
+            return
         traj = integrate_blasius(s, settings)
-        expected = reference_march(s, settings)
         for got, want in zip((traj.eta, traj.f, traj.fp, traj.fpp), expected):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "eta_max, step", [(10.0, 1e-3), (0.5, 0.01), (2.5, 0.3), (12.0, 1e-3)]
+    )
+    def test_every_march_consumer_matches_reference_step(self, monkeypatch, eta_max, step):
+        # the scaled march, the Newton pass and the stored trajectory all run
+        # shooting._march, so swapping in the reference step must change no bit
+        settings = IntegratorSettings(eta_max=eta_max, step=step)
+        result = solve_shooting(settings)
+        monkeypatch.setattr(shooting, "_march", reference_step_march)
+        expected = solve_shooting(settings)
+        assert result.s_star == expected.s_star
+        assert result.residual == expected.residual
+        for name in ("eta", "f", "fp", "fpp"):
+            assert np.array_equal(getattr(result.trajectory, name),
+                                  getattr(expected.trajectory, name))
 
     def test_initial_conditions_and_grid(self):
         traj = integrate_blasius(0.3, IntegratorSettings(eta_max=2.0, step=1e-2))
