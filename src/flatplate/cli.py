@@ -331,7 +331,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # the series, or a power of eta, leaves the float range
-        print(f"error: out of float range: {exc}", file=sys.stderr)
+        # float ** int raises it with (errno, text) as its args; print the text
+        print(f"error: out of float range: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return 2
     except ShootingError as exc:
         print(f"shooting failed: {exc}", file=sys.stderr)

@@ -10,8 +10,12 @@ Every value here is immutable, so values may be shared freely across
 threads.  A polynomial caches one derived value, the float table that float
 evaluation reads; it is a function of the immutable coefficients, so two
 threads that fill it at once write equal tuples.  Float evaluation, at a
-point or over a whole float64 grid, is provided for plotting and comparison
-only; the rational path is the source of truth.
+point, over a list of floats or over a whole float64 grid, is provided for
+plotting and comparison only; the rational path is the source of truth.
+
+This module never imports numpy: ``eval_float`` finds it in ``sys.modules``
+when it is given an array, and the list form serves the stdlib kernels of
+a process that has not loaded numpy (see ``flatplate._format.numpy_for``).
 """
 
 from __future__ import annotations
@@ -166,14 +170,16 @@ class RationalPolynomial:
         terms = sorted(self._coeffs.items(), reverse=True) or [(0, Fraction(0))]
         return self._horner(terms, as_rational(x))
 
-    def eval_float(self, x: float | np.ndarray) -> float | np.ndarray:
+    def eval_float(self, x: float | list | np.ndarray) -> float | list | np.ndarray:
         """Horner evaluation in float64.  Approximate: coefficients round
         to the nearest double before any arithmetic happens.
 
         A numpy array ``x`` gives a float64 array of its shape, bit-equal
-        point by point to the scalar evaluation (see ``_GridPowers``); any
-        other ``x`` gives a float.  The rounded coefficients are computed on
-        the first call and reused by every later one.
+        point by point to the scalar evaluation (see ``_GridPowers``); a
+        list, the grid of the stdlib kernels, gives the list of scalar
+        evaluations; any other ``x`` gives a float.  The rounded
+        coefficients are computed on the first call and reused by every
+        later one.
         """
         terms = self._float_terms
         if terms is None:
@@ -186,6 +192,8 @@ class RationalPolynomial:
             # inf and nan arise silently in the scalar path too
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._horner(terms, _GridPowers(x))
+        if isinstance(x, list):
+            return [self._horner(terms, float(v)) for v in x]
         return self._horner(terms, float(x))
 
     # -- comparisons / display -----------------------------------------------

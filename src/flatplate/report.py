@@ -6,10 +6,18 @@ diverges beyond it, and emits the CSV / SVG artifacts.  The headline number
 pair is the wall curvature f''(0): the series value is twice the eta^2
 coefficient of the partial sum (kept exact as a Fraction), the numerical
 value comes from shooting.
+
+The grid, the interpolation of the trajectory, the series evaluation and
+the figure's pixel maps each have a numpy kernel and a bit-equal stdlib
+kernel; ``_format.numpy_for`` picks one per array, so the default
+``compare`` and ``figure`` runs never load numpy.  ``with_theta`` loads it,
+for ``theta_profile``.  The y ticks, at most _MAX_TICKS values, are one
+stdlib computation on both paths.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -19,7 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from ._format import CHUNK_ROWS, write_csv
+from . import _format
+from ._format import CHUNK_ROWS
 from .hpm import HpmSeries
 from .shooting import MAX_STEPS, ShootingResult, theta_profile
 
@@ -74,16 +83,26 @@ class Grid:
                 f"grid {self.start}..{self.stop} is shorter than one step of {self.step}"
             )
 
-    def points(self) -> np.ndarray:
-        import numpy as np
-
+    def points(self) -> np.ndarray | list[float]:
+        """The grid: a float64 ndarray, or a list when the stdlib kernels run."""
         n = int(round((self.stop - self.start) / self.step))
+        np = _format.numpy_for(n + 1)
+        if np is None:
+            return [self.start + self.step * i for i in range(n + 1)]
         return self.start + self.step * np.arange(n + 1)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    rows: np.ndarray  # (n, 3): eta, fprime_numerical, fprime_hpm
+    """The gridded profiles and the deviation metrics of ``compare``.
+
+    ``rows[i]`` is the row (eta, f'_numerical, f'_hpm) of grid point i:
+    ``rows`` is an (n, 3) float64 ndarray when numpy ran ``compare``, and a
+    list of float tuples when the stdlib did (see ``_format.numpy_for``).
+    ``theta_rows`` needs numpy, so it is always an ndarray.
+    """
+
+    rows: np.ndarray | list[tuple[float, float, float]]
     max_dev_inside: float | None  # max |delta f'| on [0, L]; None if no grid point is in it
     dev_at_probe: float | None  # |delta f'| at probe_eta; None if probe outside grid
     probe_eta: float
@@ -111,25 +130,36 @@ def compare(
     and is None when there are none.  The probe deviation is evaluated only
     when the probe lies inside the grid range; callers see None otherwise.
     """
-    import numpy as np
-
     if not math.isfinite(probe_eta):
         raise ValueError(f"probe eta must be finite, got {probe_eta!r}")
+    if with_theta:
+        import numpy  # noqa: F401  theta_profile needs it; loaded now, every column is an array
     eta = grid.points()
+    np = _format.numpy_for(len(eta))
     f_sum = series.partial_sum("f")
     fprime_series = f_sum.derivative()
     traj = shot.trajectory
-    fprime_num = np.interp(eta, traj.eta, traj.fp, right=1.0)
-    fprime_hpm = fprime_series.eval_float(eta)
-    rows = np.column_stack([eta, fprime_num, fprime_hpm])
-
     L = float(series.config.L)
-    inside = (eta >= 0.0) & (eta <= L + 1.0e-12)
-    deviation = np.abs(fprime_hpm - fprime_num)
-    max_dev_inside = float(np.max(deviation[inside])) if np.any(inside) else None
+    if np is None:
+        fprime_num = [_interp(x, traj.eta, traj.fp, 1.0) for x in eta]
+        rows = list(zip(eta, fprime_num, fprime_series.eval_float(eta)))
+        deviation = [abs(hpm - num) for x, num, hpm in rows if 0.0 <= x <= L + 1.0e-12]
+        max_dev_inside = None
+        if deviation:  # numpy's max is nan if one deviation is; the builtin may skip it
+            max_dev_inside = math.nan if math.isnan(sum(deviation)) else max(deviation)
+    else:
+        fprime_num = np.interp(eta, traj.eta, traj.fp, right=1.0)
+        fprime_hpm = fprime_series.eval_float(eta)
+        rows = np.column_stack([eta, fprime_num, fprime_hpm])
+        inside = (eta >= 0.0) & (eta <= L + 1.0e-12)
+        deviation = np.abs(fprime_hpm - fprime_num)
+        max_dev_inside = float(np.max(deviation[inside])) if np.any(inside) else None
 
     if grid.start <= probe_eta <= grid.stop:
-        num_at_probe = float(np.interp(probe_eta, traj.eta, traj.fp, right=1.0))
+        if np is None:
+            num_at_probe = _interp(probe_eta, traj.eta, traj.fp, 1.0)
+        else:
+            num_at_probe = float(np.interp(probe_eta, traj.eta, traj.fp, right=1.0))
         dev_at_probe = abs(fprime_series.eval_float(probe_eta) - num_at_probe)
     else:
         dev_at_probe = None
@@ -159,14 +189,39 @@ def compare(
     )
 
 
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float], right: float) -> float:
+    """``np.interp(x, xp, fp, right=right)`` bit for bit, on increasing ``xp``."""
+    if x != x:
+        return x
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1:
+        return fp[j] if x == xp[j] else right
+    if x == xp[j]:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:  # numpy tries the other end, then a flat segment's value
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
+
+
+def _columns(rows) -> list:
+    """The columns of report rows: float tuples of a list, views of an ndarray."""
+    return [*zip(*rows)] if isinstance(rows, list) else [*rows.T]
+
+
 def emit_csv(report: ComparisonReport, path, stamp_lines: Sequence[str] = ()) -> None:
     """Write the gridded profiles: eta,fprime_numerical,fprime_hpm (+ theta
     columns when present), in the CSV format of ``write_csv``."""
-    header, columns = "eta,fprime_numerical,fprime_hpm", [*report.rows.T]
+    header, columns = "eta,fprime_numerical,fprime_hpm", _columns(report.rows)
     if report.theta_rows is not None:
         header += ",theta_numerical,theta_hpm"
         columns += [*report.theta_rows.T]
-    write_csv(path, header, columns, stamp_lines)
+    _format.write_csv(path, header, columns, stamp_lines)
 
 
 # -- SVG figure ----------------------------------------------------------------
@@ -216,6 +271,18 @@ def _tick_step(span: float, step: float) -> float:
     return next(m * magnitude for m in (1.0, 2.0, 5.0, 10.0) if span / (m * magnitude) < _MAX_TICKS)
 
 
+def _y_ticks(y_lo: float, y_hi: float, step: float) -> list[float]:
+    """The multiples of ``step`` in the window as numpy spelt them,
+    ``np.arange(np.ceil(y_lo / step - 1e-9) * step, y_hi + 1e-9, step)``:
+    ceil keeps the sign of -0.0, and from the third tick on arange fills
+    ``first + i * ((first + step) - first)``."""
+    v = y_lo / step - 1.0e-9
+    first, stop = math.copysign(math.ceil(v), v) * step, y_hi + 1.0e-9
+    count = max(math.ceil((stop - first) / step), 0)
+    delta = (first + step) - first
+    return [first, first + step, *(first + i * delta for i in range(2, count))][:count]
+
+
 def check_y_window(y_window: tuple[float, float]) -> None:
     """Raise ValueError unless the figure window is finite with low < high."""
     y_lo, y_hi = y_window
@@ -232,13 +299,13 @@ def emit_svg_figure(
     polynomial tail visibly leaves the frame instead of flattening the part
     of the picture where the two curves agree.
     """
-    import numpy as np
-
     if len(report.rows) < 2:
         raise ValueError(f"cannot plot fewer than two grid points, got {len(report.rows)}")
     check_y_window(y_window)
     y_lo, y_hi = y_window
-    eta = report.rows[:, 0]
+    np = _format.numpy_for(len(report.rows))
+    columns = _columns(report.rows)
+    eta = columns[0]
     x_lo, x_hi = float(eta[0]), float(eta[-1])
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -249,10 +316,14 @@ def emit_svg_figure(
     def y_px(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    xs = x_px(eta)
+    xs = [x_px(x) for x in eta] if np is None else x_px(np.asarray(eta))
 
     def polyline_points(values: np.ndarray) -> str:
-        ys = np.clip(y_px(values), -_Y_PX_LIMIT, _Y_PX_LIMIT)
+        if np is None:  # one % operation: the grid is at most _PURE_MAX_POINTS long
+            ys = (min(max(y_px(y), -_Y_PX_LIMIT), _Y_PX_LIMIT) for y in values)
+            pairs = [v for pair in zip(xs, ys) for v in pair]
+            return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pairs)
+        ys = np.clip(y_px(np.asarray(values)), -_Y_PX_LIMIT, _Y_PX_LIMIT)
         chunks = []
         for start in range(0, len(xs), CHUNK_ROWS):
             end = start + CHUNK_ROWS
@@ -262,9 +333,7 @@ def emit_svg_figure(
 
     x_tick_step = _tick_step(x_hi - x_lo, 1.0 if (x_hi - x_lo) <= 15.0 else 2.0)
     x_ticks = [x_lo + i * x_tick_step for i in range(int((x_hi - x_lo) / x_tick_step) + 1)]
-    y_tick_step = _tick_step(y_hi - y_lo, 0.2)
-    first = np.ceil(y_lo / y_tick_step - 1.0e-9) * y_tick_step
-    y_ticks = list(np.arange(first, y_hi + 1.0e-9, y_tick_step))
+    y_ticks = _y_ticks(y_lo, y_hi, _tick_step(y_hi - y_lo, 0.2))
 
     parts: list[str] = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -296,7 +365,7 @@ def emit_svg_figure(
     # the two curves, clipped to the frame so the divergent tail exits the picture
     parts.append('<g clip-path="url(#plot-area)" fill="none">')
     for name, column, _, stroke in _CURVES:
-        points = polyline_points(report.rows[:, column])
+        points = polyline_points(columns[column])
         parts.append(f'<polyline id="{name}" points="{points}" {stroke}/>')
     parts.append("</g>")
     # legend, one row per curve
@@ -313,14 +382,14 @@ def emit_svg_figure(
 
 def summary_lines(report: ComparisonReport) -> list[str]:
     """Human-readable metric summary shared by the CLI subcommands."""
-    eta = report.rows[:, 0]
+    first, last, points = report.rows[0][0], report.rows[-1][0], len(report.rows)
     L = report.domain_length
     if report.max_dev_inside is not None:
         max_dev = f"{report.max_dev_inside:.6f}"
     else:
         max_dev = f"not evaluated (no grid point in [0, {L:g}])"
     lines = [
-        f"comparison over eta in [{eta[0]:g}, {eta[-1]:g}] ({len(eta)} points)",
+        f"comparison over eta in [{first:g}, {last:g}] ({points} points)",
         f"  max |f'_hpm - f'_numerical| on [0, {L:g}] = {max_dev}",
     ]
     if report.dev_at_probe is not None:
@@ -330,7 +399,7 @@ def summary_lines(report: ComparisonReport) -> list[str]:
     else:
         lines.append(
             f"  deviation at probe eta = {report.probe_eta:g}: not evaluated "
-            f"(probe outside grid [{eta[0]:g}, {eta[-1]:g}])"
+            f"(probe outside grid [{first:g}, {last:g}])"
         )
     s_hpm = float(report.s_hpm_exact)
     lines.append(

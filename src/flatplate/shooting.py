@@ -21,12 +21,19 @@ theta(0) = 1 and theta(eta_max) = 0 enforced by normalization.
 
 eta_max is the honest stand-in for infinity here; its adequacy is measured
 (s* moves by < 1e-7 between eta_max 10 and 15), not assumed.
+
+The stored march is checked and kept by one of two bit-equal kernels,
+chosen by ``_format.numpy_for``: numpy arrays once numpy is imported or
+past _PURE_MAX_POINTS rows, ``array('d')`` columns otherwise, so a default
+``shoot`` run never loads numpy.  ``theta_profile`` always uses numpy,
+since ``np.exp`` and ``math.exp`` differ in the last bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -34,10 +41,11 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from ._format import write_csv
+from . import _format
 
-# integrate_blasius reports the first step where |f''| exceeds this; diverging
-# probe slopes blow up through it quickly while physical trajectories stay below 1.
+# integrate_blasius reports the first step where |f''| exceeds this times
+# max(1, |s|); diverging probe slopes blow up through it quickly, while on a
+# physical trajectory f'' only decreases from s.
 DIVERGENCE_LIMIT = 1.0e6
 
 # Upper bound on eta_max/step and on the steps of the scaled march.  A stored
@@ -88,7 +96,12 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples (eta, f, f', f'') on the integration grid, eta increasing from 0."""
+    """Samples (eta, f, f', f'') on the integration grid, eta increasing from 0.
+
+    Each field is a float64 ndarray when numpy ran the march and an
+    ``array('d')`` when the stdlib did (see ``_format.numpy_for``); both
+    index, slice and measure alike.
+    """
 
     eta: np.ndarray
     f: np.ndarray
@@ -145,22 +158,29 @@ def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
     """Integrate from (f, f', f'') = (0, 0, s) to eta_max, recording every step.
 
     Raises DivergenceError at the first step where |f''| passes
-    DIVERGENCE_LIMIT or the state stops being finite.
+    DIVERGENCE_LIMIT * max(1, |s|) or the state stops being finite.
     """
-    import numpy as np
-
     if not math.isfinite(s):
         raise ValueError(f"initial slope must be finite, got {s!r}")
     steps = _steps(settings)
+    limit = DIVERGENCE_LIMIT * max(1.0, abs(s))
     # one flat float stream: a (float64, 4) sub-array dtype costs far more per row
     stream = itertools.chain.from_iterable(_march(s, steps))
-    states = np.fromiter(
-        itertools.chain((0.0, 0.0, 0.0, float(s)), stream),
-        np.float64,
-        count=4 * (len(steps) + 1),
-    ).reshape(-1, 4)
+    stream = itertools.chain((0.0, 0.0, 0.0, float(s)), stream)
+    np = _format.numpy_for(len(steps) + 1)
+    if np is None:
+        flat = array("d", stream)
+        fpp = flat[7::4]  # f'' after each step
+        if not (math.isfinite(sum(flat)) and -limit <= min(fpp) and max(fpp) <= limit):
+            for row in range(4, len(flat), 4):  # the first bad row; a sum of finite values
+                state = flat[row : row + 4]  # can overflow, so there may be none
+                if not (abs(state[3]) <= limit and all(map(math.isfinite, state))):
+                    raise DivergenceError(state[0], s)
+        flat[-4] = settings.eta_max  # pinned as below
+        return Trajectory(*(flat[column::4] for column in range(4)))
+    states = np.fromiter(stream, np.float64, count=4 * (len(steps) + 1)).reshape(-1, 4)
     marched = states[1:]
-    bad = (np.abs(marched[:, 3]) > DIVERGENCE_LIMIT) | ~np.isfinite(marched).all(axis=1)
+    bad = (np.abs(marched[:, 3]) > limit) | ~np.isfinite(marched).all(axis=1)
     if bad.any():
         raise DivergenceError(float(marched[bad.argmax(), 0]), s)
     # land the last node exactly on eta_max (it differs only by accumulated roundoff)
@@ -262,11 +282,9 @@ def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
 
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    eta = trajectory.eta
+    eta, f = np.asarray(trajectory.eta), np.asarray(trajectory.f)
     d_eta = np.diff(eta)
-    inner = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (trajectory.f[1:] + trajectory.f[:-1]) * d_eta)]
-    )
+    inner = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * d_eta)])
     weight = np.exp(-inner / (2.0 * epsilon))
     outer = np.concatenate([[0.0], np.cumsum(0.5 * (weight[1:] + weight[:-1]) * d_eta)])
     theta = 1.0 - outer / outer[-1]
@@ -276,4 +294,4 @@ def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
 def write_trajectory_csv(trajectory: Trajectory, path, stamp_lines: Sequence[str] = ()) -> None:
     """CSV export: header eta,f,fp,fpp and one row per grid point (see ``write_csv``)."""
     columns = (trajectory.eta, trajectory.f, trajectory.fp, trajectory.fpp)
-    write_csv(path, "eta,f,fp,fpp", columns, stamp_lines)
+    _format.write_csv(path, "eta,f,fp,fpp", columns, stamp_lines)

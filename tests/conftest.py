@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,20 @@ def series_order6():
 def default_shot():
     """Shooting solution at the default settings (eta_max=10, step=1e-3)."""
     return solve_shooting(IntegratorSettings())
+
+
+@pytest.fixture
+def fresh_cli(tmp_path):
+    """Run ``python -m flatplate *argv`` in a fresh interpreter, in tmp_path.
+
+    That interpreter has not imported numpy, so small arrays go through the
+    stdlib kernels (see ``flatplate._format.numpy_for``).
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "flatplate", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    return run

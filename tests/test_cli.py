@@ -160,6 +160,14 @@ class TestShootCommand:
         assert code == 0
         assert f"s* = {slope}" in out
 
+    @pytest.mark.parametrize("eta_max, step", [("1e-6", "1e-9"), ("1e-7", "1e-10")])
+    def test_tiny_domain_solves(self, capsys, eta_max, step):
+        # s* is about 1/eta_max there, so f'' starts far above DIVERGENCE_LIMIT
+        code, out, err = run(capsys, "shoot", "--eta-max", eta_max, "--step", step)
+        assert code == 0, err
+        residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
+        assert float(residual.group(1)) <= 1e-8
+
     def test_invalid_settings_exit_2(self, capsys):
         code, _, err = run(capsys, "shoot", "--step", "0")
         assert code == 2
@@ -256,6 +264,15 @@ class TestCompareCommand:
         code, _, err = run(capsys, "compare", "--eta-max", "6", "--step", "0.01", *flags)
         assert code == 2
         assert err.startswith("error: out of float range") and err.count("\n") == 1
+
+    def test_float_overflow_prints_the_message(self, capsys, fresh_cli):
+        # float ** int raises OverflowError((34, 'Numerical result out of range'))
+        argv = ("compare", "--eta-max", "6", "--step", "0.01", "--grid", "0:1e300:1e299")
+        expected = "error: out of float range: Numerical result out of range\n"
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, expected)
+        proc = fresh_cli(*argv)  # without numpy: the stdlib kernels
+        assert (proc.returncode, proc.stderr) == (2, expected)
 
     def test_probe_deviation_reported(self, capsys):
         code, out, _ = run(capsys, "compare", "--probe", "10")

@@ -4,6 +4,10 @@ to frozen values.
 Any change to the solver, the series engine or the writers that alters a
 single byte of these files fails here.  If a change is meant to alter
 them, the new hashes belong in the same change with the reason.
+
+Each output is made twice: in this process, where numpy is loaded and its
+kernels run, and in a fresh interpreter, where the stdlib kernels run for
+arrays of up to ``_PURE_MAX_POINTS`` rows (see ``flatplate._format``).
 """
 
 import hashlib
@@ -19,6 +23,8 @@ CONTRACT = {
         "75f18da28ede61e5156415d6b53d861a2e2125ab5ed1cdca69823ab6e23f8593",
     ("figure", "--svg"):
         "488ee8ec0c5c36821f27c250282fddd6dd894e519d4043146a2336fdb639d661",
+    ("shoot", "--trajectory-out"):
+        "4066646df22365dc941f94fee58eee8c5e7b60c42e32d63bfac47893433b3ab2",
 }
 
 
@@ -47,3 +53,15 @@ def test_fine_grid_output_bytes(capsys, tmp_path, argv):
     assert main([*argv, str(target)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == FINE_GRID_CONTRACT[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [*CONTRACT.items(), *FINE_GRID_CONTRACT.items()],
+    ids=[*(f"default-{argv[0]}" for argv in CONTRACT),
+         *(f"fine-{argv[0]}" for argv in FINE_GRID_CONTRACT)],
+)
+def test_output_bytes_in_a_fresh_interpreter(fresh_cli, tmp_path, argv, digest):
+    proc = fresh_cli(*argv, "out")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest

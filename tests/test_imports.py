@@ -1,4 +1,8 @@
-"""Which runs load numpy: only those that make an array."""
+"""Which runs load numpy: those that need it for an array.
+
+Small arrays go through the stdlib kernels in a process that has not
+imported numpy, so the default runs of every subcommand never load it.
+"""
 
 import os
 import subprocess
@@ -6,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from flatplate._format import _PURE_MAX_POINTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,14 +45,25 @@ def numpy_loaded_by(tmp_path, statement: str) -> bool:
           for fmt in ("json", "csv", "pretty")),
         MAIN.format(argv=["series"]),
         MAIN.format(argv=["--help"]),
+        MAIN.format(argv=["compare", "--csv", "compare.csv"]),
+        MAIN.format(argv=["figure", "--svg", "figure.svg"]),
+        MAIN.format(argv=["shoot"]),
+        MAIN.format(argv=["shoot", "--trajectory-out", "trajectory.csv"]),
     ],
     ids=["import-flatplate", "import-cli", "series-json", "series-csv", "series-pretty",
-         "series-stdout", "help"],
+         "series-stdout", "help", "compare-csv", "figure-svg", "shoot", "shoot-trajectory"],
 )
 def test_runs_without_arrays_never_load_numpy(tmp_path, statement):
+    # "without arrays": without numpy arrays; compare, figure and shoot make
+    # theirs with the stdlib kernels
     assert not numpy_loaded_by(tmp_path, statement)
 
 
-def test_compare_loads_numpy(tmp_path):
-    # the control: a run that makes arrays loads it
-    assert numpy_loaded_by(tmp_path, MAIN.format(argv=["compare"]))
+def test_compare_with_theta_loads_numpy(tmp_path):
+    # the control: theta_profile always runs on numpy
+    assert numpy_loaded_by(tmp_path, MAIN.format(argv=["compare", "--with-theta"]))
+
+
+def test_grid_past_the_stdlib_limit_loads_numpy(tmp_path):
+    points = _PURE_MAX_POINTS + 1  # the grid 0, 1, ..., points
+    assert numpy_loaded_by(tmp_path, MAIN.format(argv=["compare", "--grid", f"0:{points}:1"]))

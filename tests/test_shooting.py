@@ -110,8 +110,9 @@ def reference_march(s, settings):
     if remainder > 1.0e-12 * settings.eta_max:
         steps.append(remainder)
     rows = [(0.0, 0.0, 0.0, float(s))]
+    limit = shooting.DIVERGENCE_LIMIT * max(1.0, abs(s))  # f'' only decreases from s
     for eta, f, fp, fpp in reference_step_march(s, steps):
-        if abs(fpp) > shooting.DIVERGENCE_LIMIT or not (
+        if abs(fpp) > limit or not (
             math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)
         ):
             raise DivergenceError(eta, s)
@@ -131,6 +132,8 @@ class TestIntegrator:
             (2.0, 0.5, 0.01),
             (0.332, 1.05, 0.1),  # ends on a partial step of 0.05
             (-1.0, 10.0, 0.01),  # diverges
+            (1.0e6, 1.0e-6, 1.0e-9),  # f'' above the bare limit all the way
+            (-3.0e6, 1.0, 0.01),  # diverges past the scaled limit
         ],
     )
     def test_matches_reference_march(self, s, eta_max, step):
