@@ -7,12 +7,12 @@ pair is the wall curvature f''(0): the series value is twice the eta^2
 coefficient of the partial sum (kept exact as a Fraction), the numerical
 value comes from shooting.
 
-The grid, the interpolation of the trajectory, the series evaluation and
-the figure's pixel maps each have a numpy kernel and a bit-equal stdlib
-kernel; ``_format.numpy_for`` picks one per array, so the default
-``compare`` and ``figure`` runs never load numpy.  ``with_theta`` loads it,
-for ``theta_profile``.  The y ticks, at most _MAX_TICKS values, are one
-stdlib computation on both paths.
+The grid, the interpolation of the trajectory on it, the series
+evaluation and the figure's pixel maps each have a numpy kernel and a
+bit-equal stdlib kernel; ``_format.numpy_for`` picks one per array, so the
+default ``compare`` and ``figure`` runs never load numpy.  ``with_theta``
+loads it, for ``theta_profile``.  The probe lookup, one scalar, and the y
+ticks, at most _MAX_TICKS values, are one stdlib computation on both paths.
 """
 
 from __future__ import annotations
@@ -156,10 +156,7 @@ def compare(
         max_dev_inside = float(np.max(deviation[inside])) if np.any(inside) else None
 
     if grid.start <= probe_eta <= grid.stop:
-        if np is None:
-            num_at_probe = _interp(probe_eta, traj.eta, traj.fp, 1.0)
-        else:
-            num_at_probe = float(np.interp(probe_eta, traj.eta, traj.fp, right=1.0))
+        num_at_probe = _interp(probe_eta, traj.eta, traj.fp, 1.0)
         dev_at_probe = abs(fprime_series.eval_float(probe_eta) - num_at_probe)
     else:
         dev_at_probe = None
@@ -273,11 +270,11 @@ def _tick_step(span: float, step: float) -> float:
 
 def _y_ticks(y_lo: float, y_hi: float, step: float) -> list[float]:
     """The multiples of ``step`` in the window as numpy spelt them,
-    ``np.arange(np.ceil(y_lo / step - 1e-9) * step, y_hi + 1e-9, step)``:
-    ceil keeps the sign of -0.0, and from the third tick on arange fills
-    ``first + i * ((first + step) - first)``."""
-    v = y_lo / step - 1.0e-9
-    first, stop = math.copysign(math.ceil(v), v) * step, y_hi + 1.0e-9
+    ``np.arange(np.ceil(y_lo / step - 1e-9) * step, y_hi + 1e-9, step)``,
+    but with a zero tick labelled 0.0, not -0.0: ``math.ceil`` returns an
+    int, and an int zero times ``step`` is +0.0.  From the third tick on
+    arange fills ``first + i * ((first + step) - first)``."""
+    first, stop = math.ceil(y_lo / step - 1.0e-9) * step, y_hi + 1.0e-9
     count = max(math.ceil((stop - first) / step), 0)
     delta = (first + step) - first
     return [first, first + step, *(first + i * delta for i in range(2, count))][:count]

@@ -22,21 +22,22 @@ theta(0) = 1 and theta(eta_max) = 0 enforced by normalization.
 eta_max is the honest stand-in for infinity here; its adequacy is measured
 (s* moves by < 1e-7 between eta_max 10 and 15), not assumed.
 
-The stored march is checked and kept by one of two bit-equal kernels,
-chosen by ``_format.numpy_for``: numpy arrays once numpy is imported or
-past _PURE_MAX_POINTS rows, ``array('d')`` columns otherwise, so a default
-``shoot`` run never loads numpy.  ``theta_profile`` always uses numpy,
-since ``np.exp`` and ``math.exp`` differ in the last bit.
+The stored march is checked and kept with the stdlib alone, in
+``array('d')`` columns, however long it is, so solving never loads numpy.
+numpy reads those columns in place through the buffer protocol.
+``theta_profile`` always uses numpy, since ``np.exp`` and ``math.exp``
+differ in the last bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,8 +50,8 @@ from . import _format
 DIVERGENCE_LIMIT = 1.0e6
 
 # Upper bound on eta_max/step and on the steps of the scaled march.  A stored
-# trajectory peaks at about 73 bytes per step (tracemalloc: 857 KiB for 12 001
-# states, 73.0 MB for 10^6), so one run stays under 80 MB.
+# trajectory peaks at about 32 bytes per step, its columns, plus one chunk of
+# states (tracemalloc: 613 KiB for 12 001 states, 32.2 MB for 10^6).
 MAX_STEPS = 10**6
 
 class ShootingError(Exception):
@@ -98,15 +99,13 @@ class IntegratorSettings:
 class Trajectory:
     """Samples (eta, f, f', f'') on the integration grid, eta increasing from 0.
 
-    Each field is a float64 ndarray when numpy ran the march and an
-    ``array('d')`` when the stdlib did (see ``_format.numpy_for``); both
-    index, slice and measure alike.
+    Each field is an ``array('d')``; ``np.asarray`` views it without a copy.
     """
 
-    eta: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
+    eta: array
+    f: array
+    fp: array
+    fpp: array
 
     def __len__(self) -> int:
         return len(self.eta)
@@ -120,14 +119,14 @@ class ShootingResult:
     iterations: int  # RK4 passes the search for s* made: the march and one integration
 
 
-def _steps(settings: IntegratorSettings) -> list[float]:
-    """Uniform steps covering [0, eta_max]; a final partial step is allowed."""
+def _steps(settings: IntegratorSettings) -> tuple[int, Iterator[float]]:
+    """The number of uniform steps over [0, eta_max], a final partial one allowed, and the steps."""
     n_full = int(math.floor(settings.eta_max / settings.step + 1.0e-9))
     remainder = settings.eta_max - n_full * settings.step
-    steps = [settings.step] * n_full
+    steps = itertools.repeat(settings.step, n_full)
     if remainder > 1.0e-12 * settings.eta_max:
-        steps.append(remainder)
-    return steps
+        return n_full + 1, itertools.chain(steps, (remainder,))
+    return n_full, steps
 
 
 def _march(s: float, steps):
@@ -162,30 +161,27 @@ def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
     """
     if not math.isfinite(s):
         raise ValueError(f"initial slope must be finite, got {s!r}")
-    steps = _steps(settings)
+    count, steps = _steps(settings)
     limit = DIVERGENCE_LIMIT * max(1.0, abs(s))
-    # one flat float stream: a (float64, 4) sub-array dtype costs far more per row
-    stream = itertools.chain.from_iterable(_march(s, steps))
-    stream = itertools.chain((0.0, 0.0, 0.0, float(s)), stream)
-    np = _format.numpy_for(len(steps) + 1)
-    if np is None:
-        flat = array("d", stream)
-        fpp = flat[7::4]  # f'' after each step
-        if not (math.isfinite(sum(flat)) and -limit <= min(fpp) and max(fpp) <= limit):
-            for row in range(4, len(flat), 4):  # the first bad row; a sum of finite values
-                state = flat[row : row + 4]  # can overflow, so there may be none
+    columns = [array("d", [0.0]) * (count + 1) for _ in range(4)]
+    columns[3][0] = s
+    # checked and stored CHUNK_ROWS states at a time; struct packs a tuple of
+    # floats into an array about twice as fast as array("d", values) makes one
+    march = _march(s, steps)
+    for start in range(1, count + 1, _format.CHUNK_ROWS):
+        rows = list(itertools.islice(march, _format.CHUNK_ROWS))
+        chunk = [*zip(*rows)]  # eta, f, f', f'' of these rows
+        fpp = chunk[3]
+        if not (math.isfinite(sum(map(sum, chunk))) and -limit <= min(fpp) and max(fpp) <= limit):
+            # the first bad row; a sum of finite values can overflow, so there may be none
+            for state in rows:
                 if not (abs(state[3]) <= limit and all(map(math.isfinite, state))):
                     raise DivergenceError(state[0], s)
-        flat[-4] = settings.eta_max  # pinned as below
-        return Trajectory(*(flat[column::4] for column in range(4)))
-    states = np.fromiter(stream, np.float64, count=4 * (len(steps) + 1)).reshape(-1, 4)
-    marched = states[1:]
-    bad = (np.abs(marched[:, 3]) > limit) | ~np.isfinite(marched).all(axis=1)
-    if bad.any():
-        raise DivergenceError(float(marched[bad.argmax(), 0]), s)
+        for column, values in zip(columns, chunk):
+            struct.pack_into(f"{len(values)}d", column, 8 * start, *values)
     # land the last node exactly on eta_max (it differs only by accumulated roundoff)
-    states[-1, 0] = settings.eta_max
-    return Trajectory(*states.T.copy())
+    columns[0][-1] = settings.eta_max
+    return Trajectory(*columns)
 
 
 def _scaled_root(settings: IntegratorSettings) -> float:
@@ -253,7 +249,7 @@ def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> Shoot
     eta_max = 0.5 are solved like long ones.
     """
     s_star = _scaled_root(settings)
-    _, _, fp_end, fpp_end = deque(_march(s_star, _steps(settings)), maxlen=1).pop()
+    _, _, fp_end, fpp_end = deque(_march(s_star, _steps(settings)[1]), maxlen=1).pop()
     slope = (2.0 * fp_end + settings.eta_max * fpp_end) / (3.0 * s_star)
     if not (math.isfinite(fp_end) and slope > 0.0):
         raise ConvergenceError(

@@ -65,3 +65,15 @@ def test_output_bytes_in_a_fresh_interpreter(fresh_cli, tmp_path, argv, digest):
     proc = fresh_cli(*argv, "out")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
+
+
+# 20 001 states: past _PURE_MAX_POINTS, so in a fresh interpreter the march
+# is stored without numpy and only the CSV writer loads it
+LONG_TRAJECTORY = ("shoot", "--eta-max", "20", "--trajectory-out")
+LONG_TRAJECTORY_DIGEST = "af95176300f28a64249f0152d2ea7e51c0a67a8afa2308760a3848de8c9e1fff"
+
+
+def test_long_trajectory_bytes_in_a_fresh_interpreter(fresh_cli, tmp_path):
+    proc = fresh_cli(*LONG_TRAJECTORY, "out")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == LONG_TRAJECTORY_DIGEST

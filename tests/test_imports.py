@@ -49,9 +49,13 @@ def numpy_loaded_by(tmp_path, statement: str) -> bool:
         MAIN.format(argv=["figure", "--svg", "figure.svg"]),
         MAIN.format(argv=["shoot"]),
         MAIN.format(argv=["shoot", "--trajectory-out", "trajectory.csv"]),
+        "from flatplate import IntegratorSettings, solve_shooting\n"
+        "traj = solve_shooting(IntegratorSettings(eta_max=20)).trajectory\n"
+        f"assert len(traj) == 20_001 > {_PURE_MAX_POINTS}",
     ],
     ids=["import-flatplate", "import-cli", "series-json", "series-csv", "series-pretty",
-         "series-stdout", "help", "compare-csv", "figure-svg", "shoot", "shoot-trajectory"],
+         "series-stdout", "help", "compare-csv", "figure-svg", "shoot", "shoot-trajectory",
+         "solve-20001-states"],
 )
 def test_runs_without_arrays_never_load_numpy(tmp_path, statement):
     # "without arrays": without numpy arrays; compare, figure and shoot make

@@ -292,6 +292,14 @@ class TestSvg:
         assert len(x_ticks) + len(y_ticks) == len(ticks)
         assert 2 <= len(x_ticks) <= 16 and 2 <= len(y_ticks) <= 16
 
+    def test_window_from_zero_labels_its_bottom_tick_0_0(self, tmp_path, default_report):
+        # ceil(0 / 0.2 - 1e-9) is -0.0 in numpy's spelling, which printed "-0.0"
+        out = tmp_path / "zero.svg"
+        emit_svg_figure(default_report, out, y_window=(0.0, 1.0))
+        labels = [text.text for text in ET.parse(out).getroot().iter(f"{SVG_NS}text")
+                  if text.get("text-anchor") == "end"]
+        assert labels == ["0.0", "0.2", "0.4", "0.6", "0.8", "1.0"]
+
 
 def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3):
     """bench/tracer.py wraps solve_shooting, integrate_blasius, compare and

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from flatplate import shooting
+from flatplate._format import CHUNK_ROWS
 from flatplate.shooting import (
     ConvergenceError,
     DivergenceError,
@@ -134,6 +135,8 @@ class TestIntegrator:
             (-1.0, 10.0, 0.01),  # diverges
             (1.0e6, 1.0e-6, 1.0e-9),  # f'' above the bare limit all the way
             (-3.0e6, 1.0, 0.01),  # diverges past the scaled limit
+            (-1.0, 10.0, 1e-3),  # diverges in the eighth chunk of CHUNK_ROWS states
+            (-0.5, 40.0, 0.05),  # diverges near eta = 4.95, long before eta_max
         ],
     )
     def test_matches_reference_march(self, s, eta_max, step):
@@ -147,7 +150,7 @@ class TestIntegrator:
             return
         traj = integrate_blasius(s, settings)
         for got, want in zip((traj.eta, traj.f, traj.fp, traj.fpp), expected):
-            assert got.dtype == np.float64
+            assert got.typecode == "d"
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -165,6 +168,19 @@ class TestIntegrator:
         for name in ("eta", "f", "fp", "fpp"):
             assert np.array_equal(getattr(result.trajectory, name),
                                   getattr(expected.trajectory, name))
+
+    @pytest.mark.parametrize("bad", [1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+    def test_first_bad_row_at_chunk_edges(self, monkeypatch, bad):
+        # the march is checked CHUNK_ROWS states at a time; every row after
+        # ``bad`` is bad too, so only the first one may be reported
+        def march(s, steps):
+            for row, h in enumerate(steps, start=1):
+                yield row * h, 0.1, 0.2, (math.inf if row >= bad else 0.3)
+
+        monkeypatch.setattr(shooting, "_march", march)
+        with pytest.raises(DivergenceError) as err:
+            integrate_blasius(0.3, IntegratorSettings(eta_max=3.0 * CHUNK_ROWS, step=1.0))
+        assert err.value.eta == bad
 
     def test_initial_conditions_and_grid(self):
         traj = integrate_blasius(0.3, IntegratorSettings(eta_max=2.0, step=1e-2))
@@ -273,9 +289,9 @@ class TestShooting:
 
     def test_converged_profile_shape(self, default_shot):
         traj = default_shot.trajectory
-        assert np.all(traj.fpp > 0)
+        assert np.all(np.asarray(traj.fpp) > 0)
         assert np.all(np.diff(traj.fp) > 0)
-        interior = traj.fp[1:-1]
+        interior = np.asarray(traj.fp)[1:-1]
         assert np.all(interior > 0) and np.all(interior < 1)
 
 
