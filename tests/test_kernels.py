@@ -3,10 +3,12 @@
 ``flatplate._format.numpy_for`` picks the kernel for each report array.
 The ``stdlib`` fixture makes it pick the stdlib one although numpy is
 loaded here; every twin test runs both and compares bits or bytes.  The
-stored march has one kernel; ``TestIntegrator`` pins its divergence scan.
+stored march has one kernel; ``TestIntegrator`` pins it against the
+numpy store it replaced and pins its divergence scan.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from array import array
@@ -92,7 +94,43 @@ class TestWriteCsv:
         assert (tmp_path / "stdlib.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
 
+def numpy_integrator(s: float, settings: IntegratorSettings) -> shooting.Trajectory:
+    """The stored march as numpy once kept it: one np.fromiter over the
+    states, a vectorised divergence scan and eta pinned to eta_max."""
+    count, steps = shooting._steps(settings)
+    stream = itertools.chain((0.0, 0.0, 0.0, float(s)),
+                             itertools.chain.from_iterable(shooting._march(s, steps)))
+    states = np.fromiter(stream, np.float64, count=4 * (count + 1)).reshape(-1, 4)
+    marched = states[1:]
+    limit = shooting.DIVERGENCE_LIMIT * max(1.0, abs(s))
+    bad = (np.abs(marched[:, 3]) > limit) | ~np.isfinite(marched).all(axis=1)
+    if bad.any():
+        raise DivergenceError(float(marched[bad.argmax(), 0]), s)
+    states[-1, 0] = settings.eta_max
+    return shooting.Trajectory(*states.T.copy())
+
+
 class TestIntegrator:
+    @pytest.mark.parametrize(
+        "s, eta_max, step",
+        [(0.332, 10.0, 1e-3), (0.332, 2.5, 0.3), (2.0, 0.5, 0.01), (1.0e6, 1.0e-6, 1.0e-9),
+         (-1.0, 10.0, 1e-3), (-1.0, 10.0, 0.01), (-3.0e6, 1.0, 0.01), (-0.5, 40.0, 0.05)],
+    )
+    def test_matches_numpy_integrator(self, stdlib, s, eta_max, step):
+        # the chunked stdlib store against the vectorised numpy one it replaced
+        settings = IntegratorSettings(eta_max=eta_max, step=step)
+        try:
+            want = numpy_integrator(s, settings)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as again:
+                stdlib(lambda: integrate_blasius(s, settings))
+            assert again.value.eta == err.eta
+            return
+        got = stdlib(lambda: integrate_blasius(s, settings))
+        for name in ("eta", "f", "fp", "fpp"):
+            assert isinstance(getattr(got, name), array)
+            assert bits(getattr(got, name)) == bits(getattr(want, name))
+
     @pytest.mark.parametrize(
         "rows, state, bad",
         [({1}, (math.nan, 0.0, 0.0), 1), ({3, 4}, (0.0, math.inf, 0.0), 3),
