@@ -1,18 +1,22 @@
-"""The CSV format shared by the profile and trajectory writers, and the one
-rule that picks numpy or the stdlib for a report array.
+"""The number formats shared by the CLI, the profile and trajectory writers
+and the summaries, and the rules that pick numpy or the stdlib for a report
+array.
 
 The grid, its interpolation, the CSV writer and the figure's pixel maps each
-have two bit-equal kernels, numpy and stdlib; ``numpy_for`` picks one.  A
-process that has not imported numpy runs the stdlib kernels, so the default
-``compare``, ``figure`` and ``shoot`` runs never load it.  Once numpy is
-imported (by the caller, by ``theta_profile``, or by an array longer than
-_PURE_MAX_POINTS) the numpy kernels run.
+have two bit-equal kernels, numpy and stdlib.  A process that has not
+imported numpy runs the stdlib kernels, so the default ``compare``,
+``figure`` and ``shoot`` runs never load it.  Once numpy is imported (by the
+caller, by ``theta_profile``, or by a grid longer than _PURE_MAX_POINTS:
+see ``numpy_for``) the numpy kernels run.  ``write_csv`` never loads numpy
+itself (see ``loaded_numpy``): its stdlib kernel was never slower, at any
+length, than importing numpy for it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -25,24 +29,41 @@ if TYPE_CHECKING:
 # 12 001-point export about 5% faster than 128; 1024 was no faster than 512.
 CHUNK_ROWS = 512
 
-# Longest array, in rows, that the stdlib kernels take in a process without
+# Longest grid, in points, that the stdlib kernels take in a process without
 # numpy.  A cold `compare --csv --svg` child with grid and trajectory of
 # this size costs about as much on the stdlib kernels as on numpy, its
 # import included: alternating runs put that crossover between 16 000 and
-# 20 000 points.  The CSV writer alone has none up to 250 001 rows, where a
-# cold `shoot --trajectory-out` still ran 0.09 s faster on the stdlib.
+# 20 000 points.  The CSV writer has no crossover, so it does not use this
+# limit: a cold `shoot --trajectory-out` took 0.21 s on the stdlib against
+# 0.38 s with numpy at 20 001 rows, and 1.97 s against 2.06 s at 250 001.
 _PURE_MAX_POINTS = 18_000
+
+
+def round_half_up(value: float, decimals: int) -> str:
+    """Decimal string of ``value`` rounded half-up to ``decimals`` places."""
+    quantum = Decimal(1).scaleb(-decimals)
+    # a finite float has at most 309 integer digits; the default precision of 28
+    # makes quantize fail from 1e25 up
+    context = Context(prec=309 + decimals)
+    return str(
+        Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP, context=context)
+    )
+
+
+def loaded_numpy():
+    """The numpy module if this process has imported it, else None."""
+    return sys.modules.get("numpy")
 
 
 def numpy_for(rows: int):
     """The numpy module to make or read an array of ``rows`` rows, or None
     when the stdlib kernels run: numpy runs once it is imported, or when
     ``rows`` passes _PURE_MAX_POINTS."""
-    if rows > _PURE_MAX_POINTS or "numpy" in sys.modules:
+    if rows > _PURE_MAX_POINTS:
         import numpy
 
         return numpy
-    return None
+    return loaded_numpy()
 
 
 def write_csv(
@@ -58,10 +79,11 @@ def write_csv(
     A cell gets 9 decimals unless 0 < |v| < 0.1, where it gets
     8 - floor(log10 |v|), with ``math.log10``: ``np.log10`` rounds some
     values differently.  The numpy kernel visits only those small cells one
-    by one; the stdlib kernel, for columns of up to _PURE_MAX_POINTS rows,
-    visits every cell.
+    by one; the stdlib kernel visits every cell.  The numpy kernel runs only
+    once the process has imported numpy: loading it for the CSV alone costs
+    more than it saves.
     """
-    np = numpy_for(len(columns[0]))
+    np = loaded_numpy()
     row_format = ",".join(["%.*f"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in stamp_lines:

@@ -10,33 +10,48 @@ bit-identical; ``--stamp`` opts into metadata comment lines.  A ``--config``
 file of flat key=value pairs can override defaults; explicit flags win over
 the config file.  Values that start with a minus sign may follow their flag
 after a space (``--grid -1:5:0.1``, ``--probe -inf``).
+
+Each run loads only what its subcommand runs.  This module imports the
+series engine (``exact``, ``hpm``); the ``shoot``, ``compare`` and
+``figure`` handlers import ``shooting`` and ``report`` when they start, and
+call their functions through those modules.  So ``series`` and ``--help``
+never load the shooting or report layers, nor ``dataclasses``.  The five
+functions of those layers that this module used to import stay readable as
+its attributes (see ``__getattr__``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from typing import Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence
 
+from ._format import round_half_up
 from .exact import as_rational
 from .hpm import HpmConfig, HpmSeries, build_series, series_to_document
-from .report import (
-    Grid,
-    check_y_window,
-    compare,
-    emit_csv,
-    emit_svg_figure,
-    round_half_up,
-    summary_lines,
-)
-from .shooting import (
-    IntegratorSettings,
-    ShootingError,
-    solve_shooting,
-    write_trajectory_csv,
-)
+
+if TYPE_CHECKING:
+    from .shooting import IntegratorSettings
+
+# Functions of the shooting and report layers that bench/tracer.py reads, and
+# wraps, on this module: readable here without loading either layer at
+# import.  Each read fetches the home module's current attribute.
+_DEFERRED = {
+    "solve_shooting": "shooting",
+    "write_trajectory_csv": "shooting",
+    "compare": "report",
+    "emit_csv": "report",
+    "emit_svg_figure": "report",
+}
+
+
+def __getattr__(name: str):
+    if name in _DEFERRED:
+        return getattr(import_module(f".{_DEFERRED[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _EXIT_CODES_HELP = (
     "exit codes: 0 success, 2 argument error, 3 solver failure, 4 I/O failure"
@@ -192,11 +207,15 @@ def _series_from_args(args: argparse.Namespace) -> HpmSeries:
 
 
 def _settings_from_args(args: argparse.Namespace) -> IntegratorSettings:
+    from .shooting import IntegratorSettings
+
     return IntegratorSettings(eta_max=args.eta_max, step=args.step, shoot_tol=args.tol)
 
 
 def _render_series(series: HpmSeries, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(series_to_document(series), indent=2) + "\n"
     if fmt == "csv":
         lines = ["component,j,power,num,den"]
@@ -242,33 +261,42 @@ def run_series(args: argparse.Namespace) -> int:
     return 0
 
 
+# The handlers below import the layers they run and call through the
+# modules at call time, so a function replaced on its module (as
+# bench/tracer.py does) is the one that runs.
+
+
 def run_shoot(args: argparse.Namespace) -> int:
+    from . import shooting
+
     settings = _settings_from_args(args)
-    result = solve_shooting(settings)
+    result = shooting.solve_shooting(settings)
     print(f"s* = {result.s_star:.7f}  (f''(0) from shooting, eta_max = {settings.eta_max:g})")
     print(f"residual |f'(eta_max) - 1| = {result.residual:.3e}  (tol {settings.shoot_tol:g})")
     print(f"search passes = {result.iterations}")
     if args.trajectory_out:
-        write_trajectory_csv(result.trajectory, args.trajectory_out, _stamp_lines(args))
+        shooting.write_trajectory_csv(result.trajectory, args.trajectory_out, _stamp_lines(args))
         print(f"trajectory written to {args.trajectory_out}")
     return 0
 
 
 def run_compare(args: argparse.Namespace) -> int:
-    check_y_window(args.y_window)  # before the solves, whether or not a figure is asked for
+    from . import report, shooting
+
+    report.check_y_window(args.y_window)  # before the solves, whether or not a figure is asked for
     series = _series_from_args(args)
     settings = _settings_from_args(args)
     start, stop, step = args.grid
-    grid = Grid(start=start, stop=stop, step=step)
-    shot = solve_shooting(settings)
-    report = compare(series, shot, grid, probe_eta=args.probe, with_theta=args.with_theta)
-    for line in summary_lines(report):
+    grid = report.Grid(start=start, stop=stop, step=step)
+    shot = shooting.solve_shooting(settings)
+    result = report.compare(series, shot, grid, probe_eta=args.probe, with_theta=args.with_theta)
+    for line in report.summary_lines(result):
         print(line)
     if args.csv:
-        emit_csv(report, args.csv, _stamp_lines(args))
+        report.emit_csv(result, args.csv, _stamp_lines(args))
         print(f"profiles written to {args.csv}")
     if args.svg:
-        emit_svg_figure(report, args.svg, y_window=args.y_window)
+        report.emit_svg_figure(result, args.svg, y_window=args.y_window)
         print(f"figure written to {args.svg}")
     return 0
 
@@ -320,6 +348,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _shooting_errors() -> tuple[type[Exception], ...]:
+    """ShootingError once the solver is loaded, else nothing: only the solver
+    raises it.  An ``except`` clause evaluates this only when an exception
+    reaches it, so a run that never shoots never loads the solver for it."""
+    shooting = sys.modules.get(f"{__package__}.shooting")
+    return (shooting.ShootingError,) if shooting else ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -334,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # float ** int raises it with (errno, text) as its args; print the text
         print(f"error: out of float range: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return 2
-    except ShootingError as exc:
+    except _shooting_errors() as exc:
         print(f"shooting failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -31,7 +31,6 @@ identities, not merely to some tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,34 +49,80 @@ from .exact import (
 MAX_ORDER = 60
 
 
-@dataclass(frozen=True)
-class HpmConfig:
+class _Record:
+    """A frozen record whose fields are its class's ``__slots__``, in order.
+
+    ``__init__`` sets each field once with ``object.__setattr__``; after that
+    assignment raises AttributeError.  Equality, hash and repr go by the field
+    values in order, as a frozen dataclass's do, without importing
+    ``dataclasses``; ``__reduce__`` lets copy and pickle rebuild a record
+    through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class HpmConfig(_Record):
     """Series parameters: highest retained order, domain length L, and eps."""
 
-    order: int
-    L: Fraction = Fraction(5)
-    epsilon: Fraction = Fraction(1)
+    __slots__ = ("order", "L", "epsilon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", as_rational(self.L, flag="L"))
-        object.__setattr__(self, "epsilon", as_rational(self.epsilon, flag="epsilon"))
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ValueError(f"order must be a non-negative integer, got {self.order!r}")
-        if self.order > MAX_ORDER:
-            raise ValueError(f"order must be at most {MAX_ORDER}, got {self.order}")
-        if self.L <= 0:
-            raise ValueError(f"domain length must satisfy L > 0, got {self.L}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must satisfy epsilon > 0, got {self.epsilon}")
+    def __init__(self, order: int, L: Fraction = Fraction(5), epsilon: Fraction = Fraction(1)):
+        L = as_rational(L, flag="L")
+        epsilon = as_rational(epsilon, flag="epsilon")
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"order must be a non-negative integer, got {order!r}")
+        if order > MAX_ORDER:
+            raise ValueError(f"order must be at most {MAX_ORDER}, got {order}")
+        if L <= 0:
+            raise ValueError(f"domain length must satisfy L > 0, got {L}")
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must satisfy epsilon > 0, got {epsilon}")
+        set_field = object.__setattr__
+        set_field(self, "order", order)
+        set_field(self, "L", L)
+        set_field(self, "epsilon", epsilon)
 
 
-@dataclass(frozen=True)
-class HpmSeries:
+class HpmSeries(_Record):
     """Correction lists f_j / theta_j (index = power of the embedding parameter)."""
 
-    f_corrections: tuple[RationalPolynomial, ...]
-    theta_corrections: tuple[RationalPolynomial, ...]
-    config: HpmConfig
+    __slots__ = ("f_corrections", "theta_corrections", "config")
+
+    def __init__(
+        self,
+        f_corrections: tuple[RationalPolynomial, ...],
+        theta_corrections: tuple[RationalPolynomial, ...],
+        config: HpmConfig,
+    ):
+        set_field = object.__setattr__
+        set_field(self, "f_corrections", f_corrections)
+        set_field(self, "theta_corrections", theta_corrections)
+        set_field(self, "config", config)
 
     @property
     def order(self) -> int:

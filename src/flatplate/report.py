@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,24 +27,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 from . import _format
-from ._format import CHUNK_ROWS
+from ._format import CHUNK_ROWS, round_half_up
 from .hpm import HpmSeries
 from .shooting import MAX_STEPS, ShootingResult, theta_profile
 
 # Quoted 7-digit wall-slope value the numerical result is checked against in
 # summaries; the matching quoted series value 0.349 is reproduced by rounding.
 REFERENCE_WALL_SLOPE = 0.3320574
-
-
-def round_half_up(value: float, decimals: int) -> str:
-    """Decimal string of ``value`` rounded half-up to ``decimals`` places."""
-    quantum = Decimal(1).scaleb(-decimals)
-    # a finite float has at most 309 integer digits; the default precision of 28
-    # makes quantize fail from 1e25 up
-    context = Context(prec=309 + decimals)
-    return str(
-        Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP, context=context)
-    )
 
 
 @dataclass(frozen=True)
@@ -71,9 +59,9 @@ class Grid:
             raise ValueError(f"grid step must be > 0, got {self.step}")
         span = (self.stop - self.start) / self.step
         if not span < MAX_STEPS - 0.5:  # points() makes round(span) + 1 points
-            raise ValueError(
-                f"grid of {span + 1:.3g} points exceeds the budget of {MAX_STEPS} points"
-            )
+            # exact below 2**53, so a count one past the budget reads as such
+            points = f"{round(span) + 1}" if span < 2**53 else f"{span:.3g}"
+            raise ValueError(f"grid of {points} points exceeds the budget of {MAX_STEPS} points")
         if abs(span - round(span)) > 1.0e-6:
             raise ValueError(
                 f"grid stop {self.stop} is not reachable from {self.start} in steps of {self.step}"

@@ -88,7 +88,8 @@ class IntegratorSettings:
             raise ValueError(f"step must satisfy 0 < step <= eta_max, got {self.step}")
         if self.eta_max / self.step > MAX_STEPS:
             raise ValueError(
-                f"eta_max/step = {self.eta_max / self.step:.3g} exceeds the budget of "
+                # repr: the shortest digits that tell the ratio from the budget
+                f"eta_max/step = {self.eta_max / self.step!r} exceeds the budget of "
                 f"{MAX_STEPS} steps"
             )
         if not self.shoot_tol > 0:

@@ -184,6 +184,19 @@ class TestShootCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub", ["shoot", "compare"])
+    def test_solver_failure_exit_3_with_one_line(self, capsys, sub):
+        # the solver's residual at eta_max = 3 is about 2.6e-15
+        code, out, err = run(capsys, sub, "--eta-max", "3", "--tol", "1e-300")
+        assert (code, out) == (3, "")
+        assert err.startswith("shooting failed: far-boundary residual") and err.count("\n") == 1
+
+    def test_step_budget_error_tells_the_ratio_from_the_budget(self, capsys):
+        # eta_max/step is 1000001.0, which the ".3g" format printed as 1e+06
+        code, out, err = run(capsys, "shoot", "--eta-max", "1000.001", "--step", "0.001")
+        assert (code, out) == (2, "")
+        assert err == "error: eta_max/step = 1000001.0 exceeds the budget of 1000000 steps\n"
+
 
 class TestCompareCommand:
     def test_summary_contains_headline_values(self, capsys, tmp_path):
@@ -237,6 +250,12 @@ class TestCompareCommand:
                            "--svg", str(tmp_path / "f.svg"), *flags)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_grid_budget_error_prints_the_exact_count(self, capsys):
+        # 1 000 001 points, which the ".3g" format printed as 1e+06
+        code, out, err = run(capsys, "compare", "--grid", "0:1000000:1")
+        assert (code, out) == (2, "")
+        assert err == "error: grid of 1000001 points exceeds the budget of 1000000 points\n"
 
     @pytest.mark.parametrize("sub", ["compare", "figure"])
     def test_grid_shorter_than_one_step_exit_2_with_one_line(self, capsys, tmp_path, sub):

@@ -7,8 +7,11 @@ at eta = L.  They are frozen as plain fractions so the test stays
 independent of the code path it checks.
 """
 
+import copy
+import dataclasses
 import importlib.util
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,6 +72,69 @@ class TestConfig:
         cfg = HpmConfig(order=0, L="7/2", epsilon="3")
         assert cfg.L == Fraction(7, 2)
         assert cfg.epsilon == Fraction(3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(order=3.0), "order must be a non-negative integer, got 3.0"),
+            (dict(order="3"), "order must be a non-negative integer, got '3'"),
+            (dict(order=-1, L=0), "order must be a non-negative integer, got -1"),
+            (dict(order=-1, L="x"), "malformed rational literal 'x' for L"),
+            (dict(order=1, L="1/2", epsilon="-1/3"), "epsilon must satisfy epsilon > 0, got -1/3"),
+            (dict(order=MAX_ORDER + 1), f"order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
+        ],
+    )
+    def test_validation_messages(self, kwargs, message):
+        # L and epsilon are converted, and can fail, before the order is checked
+        with pytest.raises(ValueError) as info:
+            HpmConfig(**kwargs)
+        assert str(info.value).startswith(message)
+
+    def test_defaults_and_positional_fields(self):
+        assert HpmConfig(3) == HpmConfig(order=3, L=Fraction(5), epsilon=Fraction(1))
+        assert HpmConfig(3, 7, "1/2").L == Fraction(7)
+
+
+class TestRecords:
+    """HpmConfig and HpmSeries keep what their frozen dataclasses gave."""
+
+    @staticmethod
+    def records(series):
+        return (series.config, series)
+
+    def test_equal_and_hash_by_fields(self, series_order3):
+        config = HpmConfig(3, "5", 1)
+        assert config == series_order3.config and hash(config) == hash(series_order3.config)
+        assert config != HpmConfig(3, 6) and config != HpmConfig(2)
+        assert config != (3, Fraction(5), Fraction(1))
+        again = build_series(config)
+        assert again is not series_order3
+        assert again == series_order3 and hash(again) == hash(series_order3)
+        assert again != build_series(HpmConfig(3, 6))
+        assert len({again, series_order3, config, series_order3.config}) == 2
+
+    def test_repr_matches_the_frozen_dataclass(self, series_order3):
+        for record in self.records(series_order3):
+            fields = type(record).__slots__
+            twin = dataclasses.make_dataclass(type(record).__name__, fields, frozen=True)
+            assert repr(record) == repr(twin(*(getattr(record, name) for name in fields)))
+        assert repr(series_order3.config) == (
+            "HpmConfig(order=3, L=Fraction(5, 1), epsilon=Fraction(1, 1))")
+
+    def test_fields_cannot_be_assigned_or_deleted(self, series_order3):
+        for record in self.records(series_order3):
+            for name in (*type(record).__slots__, "extra"):
+                with pytest.raises(AttributeError, match="cannot assign"):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+        assert series_order3.config == HpmConfig(3)
+
+    def test_copy_and_pickle_give_equal_records(self, series_order3):
+        for record in self.records(series_order3):
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
 
 
 def reference_corrections(config):

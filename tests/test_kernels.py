@@ -1,8 +1,8 @@
 """The stdlib kernels are bit-equal twins of the numpy kernels.
 
-``flatplate._format.numpy_for`` picks the kernel for each report array.
-The ``stdlib`` fixture makes it pick the stdlib one although numpy is
-loaded here; every twin test runs both and compares bits or bytes.  The
+``flatplate._format.numpy_for`` picks the kernel for each report array,
+and ``loaded_numpy`` the one of the CSV writer.  The ``stdlib`` fixture
+makes both pick the stdlib one although numpy is loaded here; every twin test runs both and compares bits or bytes.  The
 stored march has one kernel; ``TestIntegrator`` pins it against the
 numpy store it replaced and pins its divergence scan.
 """
@@ -32,6 +32,7 @@ def stdlib(monkeypatch):
     def use_stdlib(block):
         with monkeypatch.context() as patch:
             patch.setattr(_format, "numpy_for", lambda rows: None)
+            patch.setattr(_format, "loaded_numpy", lambda: None)
             return block()
 
     return use_stdlib

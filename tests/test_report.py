@@ -2,7 +2,11 @@
 
 import dataclasses
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -301,14 +305,18 @@ class TestSvg:
         assert labels == ["0.0", "0.2", "0.4", "0.6", "0.8", "1.0"]
 
 
-def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3):
-    """bench/tracer.py wraps solve_shooting, integrate_blasius, compare and
-    emit_csv by name, so calls must go through the module globals to be traced."""
+def load_tracer_module():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
+    return tracer_module
+
+
+def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3):
+    """bench/tracer.py wraps solve_shooting, integrate_blasius, compare and
+    emit_csv by name, so calls must go through the module globals to be traced."""
+    tracer = load_tracer_module().Tracer()
     with tracer.installed():
         shot = shooting.solve_shooting(IntegratorSettings(eta_max=2.0, step=0.01))
         report = report_module.compare(series_order3, shot)
@@ -316,4 +324,29 @@ def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3
     names = ("shooting.solve_calls", "shooting.integrate_calls", "report.compare_calls",
              "report.emit_csv_calls", "shooting.iterations")
     metrics = tracer.metrics()
+    assert {name: metrics.get(name) for name in names} == dict(zip(names, (1, 1, 1, 1, 2)))
+
+
+def test_benchmark_tracer_sees_each_cli_call_once(tmp_path):
+    """The tracer wraps these functions both on their home modules and on
+    flatplate.cli; the CLI must reach each through one of them only, so a
+    call makes one span.  Run as bench/launcher.py runs a command: in a fresh
+    interpreter, with the tracer installed after ``import flatplate.cli``."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        f"import json, sys\nsys.path.insert(0, {str(root / 'bench')!r})\n"
+        "from tracer import Tracer\nimport flatplate.cli\ntracer = Tracer()\n"
+        "with tracer.installed():\n"
+        "    assert flatplate.cli.main(['compare', '--csv', 'compare.csv']) == 0\n"
+        "    assert flatplate.cli.main(['series', '--format', 'json', '--out', 'series.json']) == 0\n"
+        "print(json.dumps(tracer.metrics()))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    names = ("shooting.solve_calls", "report.compare_calls", "report.emit_csv_calls",
+             "hpm.document_calls", "hpm.build_series_calls")
     assert {name: metrics.get(name) for name in names} == dict(zip(names, (1, 1, 1, 1, 2)))
