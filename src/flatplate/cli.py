@@ -15,9 +15,11 @@ Each run loads only what its subcommand runs.  This module imports the
 series engine (``exact``, ``hpm``); the ``shoot``, ``compare`` and
 ``figure`` handlers import ``shooting`` and ``report`` when they start, and
 call their functions through those modules.  So ``series`` and ``--help``
-never load the shooting or report layers, nor ``dataclasses``.  The five
-functions of those layers that this module used to import stay readable as
-its attributes (see ``__getattr__``).
+never load the shooting or report layers.  No default run loads
+``dataclasses``: the records of every layer load it only for a caller of
+the dataclasses API (see ``_record``).  The five functions of those layers
+that this module used to import stay readable as its attributes (see
+``__getattr__``).
 """
 
 from __future__ import annotations

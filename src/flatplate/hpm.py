@@ -26,6 +26,10 @@ Setting p = 1 turns the correction lists into the usable approximations;
 ``HpmSeries.partial_sum`` does exactly that.  All arithmetic is exact, so
 the boundary and per-order residual identities hold as polynomial
 identities, not merely to some tolerance.
+
+``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
+dataclasses API works on them, but building a series never loads
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import _Record
 from .exact import (
     RationalPolynomial,
     as_rational,
@@ -47,43 +52,6 @@ from .exact import (
 # 0.36 s at order 60 and L = 10^20, 1.0 s at L = 10^300), so an unchecked
 # order is an unbounded computation.
 MAX_ORDER = 60
-
-
-class _Record:
-    """A frozen record whose fields are its class's ``__slots__``, in order.
-
-    ``__init__`` sets each field once with ``object.__setattr__``; after that
-    assignment raises AttributeError.  Equality, hash and repr go by the field
-    values in order, as a frozen dataclass's do, without importing
-    ``dataclasses``; ``__reduce__`` lets copy and pickle rebuild a record
-    through ``__init__``.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class HpmConfig(_Record):

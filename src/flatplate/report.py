@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,6 +27,7 @@ if TYPE_CHECKING:
 
 from . import _format
 from ._format import CHUNK_ROWS, round_half_up
+from ._record import _Record
 from .hpm import HpmSeries
 from .shooting import MAX_STEPS, ShootingResult, theta_profile
 
@@ -36,40 +36,36 @@ from .shooting import MAX_STEPS, ShootingResult, theta_profile
 REFERENCE_WALL_SLOPE = 0.3320574
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Record):
     """Uniform eta grid; stop must be an integer number of steps from start.
 
     At least two and at most MAX_STEPS points, which ``compare`` evaluates
     as one array.
     """
 
-    start: float = 0.0
-    stop: float = 12.0
-    step: float = 0.05
+    __slots__ = ("start", "stop", "step")
 
-    def __post_init__(self):
-        for name in ("start", "stop", "step"):
-            value = getattr(self, name)
+    def __init__(self, start: float = 0.0, stop: float = 12.0, step: float = 0.05):
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
             if not math.isfinite(value):
                 raise ValueError(f"grid {name} must be finite, got {value!r}")
-        if not self.start < self.stop:
-            raise ValueError(f"grid must satisfy start < stop, got {self.start}..{self.stop}")
-        if not self.step > 0:
-            raise ValueError(f"grid step must be > 0, got {self.step}")
-        span = (self.stop - self.start) / self.step
+        if not start < stop:
+            raise ValueError(f"grid must satisfy start < stop, got {start}..{stop}")
+        if not step > 0:
+            raise ValueError(f"grid step must be > 0, got {step}")
+        span = (stop - start) / step
         if not span < MAX_STEPS - 0.5:  # points() makes round(span) + 1 points
             # exact below 2**53, so a count one past the budget reads as such
             points = f"{round(span) + 1}" if span < 2**53 else f"{span:.3g}"
             raise ValueError(f"grid of {points} points exceeds the budget of {MAX_STEPS} points")
         if abs(span - round(span)) > 1.0e-6:
-            raise ValueError(
-                f"grid stop {self.stop} is not reachable from {self.start} in steps of {self.step}"
-            )
+            raise ValueError(f"grid stop {stop} is not reachable from {start} in steps of {step}")
         if round(span) < 1:  # a span within the reachability tolerance of zero steps
-            raise ValueError(
-                f"grid {self.start}..{self.stop} is shorter than one step of {self.step}"
-            )
+            raise ValueError(f"grid {start}..{stop} is shorter than one step of {step}")
+        set_field = object.__setattr__
+        set_field(self, "start", start)
+        set_field(self, "stop", stop)
+        set_field(self, "step", step)
 
     def points(self) -> np.ndarray | list[float]:
         """The grid: a float64 ndarray, or a list when the stdlib kernels run."""
@@ -80,8 +76,7 @@ class Grid:
         return self.start + self.step * np.arange(n + 1)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """The gridded profiles and the deviation metrics of ``compare``.
 
     ``rows[i]`` is the row (eta, f'_numerical, f'_hpm) of grid point i:
@@ -90,15 +85,31 @@ class ComparisonReport:
     ``theta_rows`` needs numpy, so it is always an ndarray.
     """
 
-    rows: np.ndarray | list[tuple[float, float, float]]
-    max_dev_inside: float | None  # max |delta f'| on [0, L]; None if no grid point is in it
-    dev_at_probe: float | None  # |delta f'| at probe_eta; None if probe outside grid
-    probe_eta: float
-    s_numerical: float
-    s_hpm_exact: Fraction
-    domain_length: float
-    extrapolated_from: float | None  # eta_max, when the grid runs past the trajectory
-    theta_rows: np.ndarray | None = None  # (n, 2): theta_numerical, theta_hpm
+    __slots__ = ("rows", "max_dev_inside", "dev_at_probe", "probe_eta", "s_numerical",
+                 "s_hpm_exact", "domain_length", "extrapolated_from", "theta_rows")
+
+    def __init__(
+        self,
+        rows: np.ndarray | list[tuple[float, float, float]],
+        max_dev_inside: float | None,  # max |delta f'| on [0, L]; None if no grid point is in it
+        dev_at_probe: float | None,  # |delta f'| at probe_eta; None if probe outside grid
+        probe_eta: float,
+        s_numerical: float,
+        s_hpm_exact: Fraction,
+        domain_length: float,
+        extrapolated_from: float | None,  # eta_max, when the grid runs past the trajectory
+        theta_rows: np.ndarray | None = None,  # (n, 2): theta_numerical, theta_hpm
+    ):
+        set_field = object.__setattr__
+        set_field(self, "rows", rows)
+        set_field(self, "max_dev_inside", max_dev_inside)
+        set_field(self, "dev_at_probe", dev_at_probe)
+        set_field(self, "probe_eta", probe_eta)
+        set_field(self, "s_numerical", s_numerical)
+        set_field(self, "s_hpm_exact", s_hpm_exact)
+        set_field(self, "domain_length", domain_length)
+        set_field(self, "extrapolated_from", extrapolated_from)
+        set_field(self, "theta_rows", theta_rows)
 
 
 def compare(
@@ -301,20 +312,25 @@ def emit_svg_figure(
     def y_px(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    xs = [x_px(x) for x in eta] if np is None else x_px(np.asarray(eta))
+    # The x pixels are formatted once per figure, into templates that leave a
+    # %.2f slot for each y: "64.00,%.2f 64.05,%.2f ...".  The stdlib grid is
+    # at most _PURE_MAX_POINTS long, so it is one template; a numpy grid has
+    # one per CHUNK_ROWS points.
+    if np is None:
+        x_chunks = [[x_px(x) for x in eta]]
+    else:
+        xs = x_px(np.asarray(eta))
+        x_chunks = (xs[start:start + CHUNK_ROWS].tolist()
+                    for start in range(0, len(xs), CHUNK_ROWS))
+    templates = [" ".join(["%.2f,%%.2f"] * len(chunk)) % tuple(chunk) for chunk in x_chunks]
 
     def polyline_points(values: np.ndarray) -> str:
-        if np is None:  # one % operation: the grid is at most _PURE_MAX_POINTS long
+        if np is None:
             ys = (min(max(y_px(y), -_Y_PX_LIMIT), _Y_PX_LIMIT) for y in values)
-            pairs = [v for pair in zip(xs, ys) for v in pair]
-            return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pairs)
+            return templates[0] % tuple(ys)
         ys = np.clip(y_px(np.asarray(values)), -_Y_PX_LIMIT, _Y_PX_LIMIT)
-        chunks = []
-        for start in range(0, len(xs), CHUNK_ROWS):
-            end = start + CHUNK_ROWS
-            pairs = np.column_stack([xs[start:end], ys[start:end]]).ravel().tolist()
-            chunks.append(" ".join(["%.2f,%.2f"] * (len(pairs) // 2)) % tuple(pairs))
-        return " ".join(chunks)
+        return " ".join(template % tuple(ys[start:start + CHUNK_ROWS].tolist())
+                        for start, template in zip(range(0, len(ys), CHUNK_ROWS), templates))
 
     x_tick_step = _tick_step(x_hi - x_lo, 1.0 if (x_hi - x_lo) <= 15.0 else 2.0)
     x_ticks = [x_lo + i * x_tick_step for i in range(int((x_hi - x_lo) / x_tick_step) + 1)]

@@ -36,13 +36,13 @@ import math
 import struct
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
 from . import _format
+from ._record import _Record
 
 # integrate_blasius reports the first step where |f''| exceeds this times
 # max(1, |s|); diverging probe slopes blow up through it quickly, while on a
@@ -71,53 +71,60 @@ class ConvergenceError(ShootingError):
     """The scaled march failed, or the far-boundary residual exceeds the tolerance."""
 
 
-@dataclass(frozen=True)
-class IntegratorSettings:
-    eta_max: float = 10.0
-    step: float = 1.0e-3
-    shoot_tol: float = 1.0e-8
+class IntegratorSettings(_Record):
+    __slots__ = ("eta_max", "step", "shoot_tol")
 
-    def __post_init__(self):
-        for name in ("eta_max", "step", "shoot_tol"):
-            value = getattr(self, name)
+    def __init__(self, eta_max: float = 10.0, step: float = 1.0e-3, shoot_tol: float = 1.0e-8):
+        for name, value in (("eta_max", eta_max), ("step", step), ("shoot_tol", shoot_tol)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.eta_max > 0:
-            raise ValueError(f"eta_max must be > 0, got {self.eta_max}")
-        if not 0 < self.step <= self.eta_max:
-            raise ValueError(f"step must satisfy 0 < step <= eta_max, got {self.step}")
-        if self.eta_max / self.step > MAX_STEPS:
+        if not eta_max > 0:
+            raise ValueError(f"eta_max must be > 0, got {eta_max}")
+        if not 0 < step <= eta_max:
+            raise ValueError(f"step must satisfy 0 < step <= eta_max, got {step}")
+        if eta_max / step > MAX_STEPS:
             raise ValueError(
                 # repr: the shortest digits that tell the ratio from the budget
-                f"eta_max/step = {self.eta_max / self.step!r} exceeds the budget of "
+                f"eta_max/step = {eta_max / step!r} exceeds the budget of "
                 f"{MAX_STEPS} steps"
             )
-        if not self.shoot_tol > 0:
-            raise ValueError(f"shoot_tol must be > 0, got {self.shoot_tol}")
+        if not shoot_tol > 0:
+            raise ValueError(f"shoot_tol must be > 0, got {shoot_tol}")
+        set_field = object.__setattr__
+        set_field(self, "eta_max", eta_max)
+        set_field(self, "step", step)
+        set_field(self, "shoot_tol", shoot_tol)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Samples (eta, f, f', f'') on the integration grid, eta increasing from 0.
 
     Each field is an ``array('d')``; ``np.asarray`` views it without a copy.
     """
 
-    eta: array
-    f: array
-    fp: array
-    fpp: array
+    __slots__ = ("eta", "f", "fp", "fpp")
+
+    def __init__(self, eta: array, f: array, fp: array, fpp: array):
+        set_field = object.__setattr__
+        set_field(self, "eta", eta)
+        set_field(self, "f", f)
+        set_field(self, "fp", fp)
+        set_field(self, "fpp", fpp)
 
     def __len__(self) -> int:
         return len(self.eta)
 
 
-@dataclass(frozen=True)
-class ShootingResult:
-    s_star: float
-    trajectory: Trajectory
-    residual: float
-    iterations: int  # RK4 passes the search for s* made: the march and one integration
+class ShootingResult(_Record):
+    __slots__ = ("s_star", "trajectory", "residual", "iterations")
+
+    # iterations: the RK4 passes the search for s* made, the march and one integration
+    def __init__(self, s_star: float, trajectory: Trajectory, residual: float, iterations: int):
+        set_field = object.__setattr__
+        set_field(self, "s_star", s_star)
+        set_field(self, "trajectory", trajectory)
+        set_field(self, "residual", residual)
+        set_field(self, "iterations", iterations)
 
 
 def _steps(settings: IntegratorSettings) -> tuple[int, Iterator[float]]:

@@ -3,8 +3,9 @@
 Small arrays go through the stdlib kernels in a process that has not
 imported numpy, so the default runs of every subcommand never load it.
 ``import flatplate`` loads no submodule, and ``series`` and ``--help`` load
-neither the shooting nor the report layer, nor ``dataclasses``.  These
-tests compare module sets only, never timings.
+neither the shooting nor the report layer.  No default run loads
+``dataclasses`` or ``inspect``: the records load them only for a caller of
+the dataclasses API.  These tests compare module sets only, never timings.
 """
 
 import importlib
@@ -22,8 +23,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 MAIN = "from flatplate.cli import main\nif main({argv!r}):\n    sys.exit('exit code not 0')"
 
+# Modules that no default run has a use for.
+NEVER_LOADS = {"dataclasses", "inspect"}
 # Modules a run that only builds series has no use for.
-SERIES_NEVER_LOADS = {"dataclasses", "inspect", "flatplate.report", "flatplate.shooting"}
+SERIES_NEVER_LOADS = {*NEVER_LOADS, "flatplate.report", "flatplate.shooting"}
 
 
 def modules_loaded_by(tmp_path, statement: str) -> set[str]:
@@ -79,6 +82,29 @@ def test_runs_without_arrays_never_load_numpy(tmp_path, statement):
 @pytest.mark.parametrize("statement", SERIES_RUNS.values(), ids=SERIES_RUNS)
 def test_series_runs_load_neither_shooting_nor_report(tmp_path, statement):
     assert not modules_loaded_by(tmp_path, statement) & SERIES_NEVER_LOADS
+
+
+DEFAULT_ARRAY_RUNS = ("compare-csv", "figure-svg", "shoot", "shoot-trajectory")
+
+
+@pytest.mark.parametrize("run", DEFAULT_ARRAY_RUNS)
+def test_default_array_runs_load_neither_dataclasses_nor_inspect(tmp_path, run):
+    assert not modules_loaded_by(tmp_path, ARRAY_RUNS[run]) & NEVER_LOADS
+
+
+def test_dataclasses_replace_after_a_cold_solve(tmp_path):
+    # the profile_export benchmark replaces the trajectory of a solved result
+    statement = (
+        "from flatplate import IntegratorSettings, integrate_blasius, solve_shooting\n"
+        "shot = solve_shooting()\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "import dataclasses\n"
+        "trajectory = integrate_blasius(shot.s_star, IntegratorSettings(eta_max=2))\n"
+        "again = dataclasses.replace(shot, trajectory=trajectory)\n"
+        "assert type(again) is type(shot) and again.trajectory is trajectory\n"
+        "assert again.s_star == shot.s_star and len(again.trajectory) == 2001"
+    )
+    assert "dataclasses" in modules_loaded_by(tmp_path, statement)
 
 
 def test_import_flatplate_loads_no_submodule(tmp_path):
