@@ -1,8 +1,10 @@
 """Frozen records that follow the dataclasses API without importing it.
 
 A record's fields are its class's ``__slots__``, in order; its explicit
-``__init__`` checks the arguments and sets each field once.  Equality, hash
-and repr go by the field values in order, as a frozen dataclass's do;
+``__init__`` checks the arguments and passes the fields, in that order, to
+``_Record.__init__``, which stores them.  Equality, hash and repr go by the
+field values in order, as a frozen dataclass's do (but ndarray fields
+compare by shape and elements, where a dataclass's equality raises);
 assignment and deletion raise AttributeError (not its subclass
 ``dataclasses.FrozenInstanceError``), and ``__reduce__`` lets copy and
 pickle rebuild a record through ``__init__``.
@@ -17,6 +19,8 @@ load in the process that calls one of those functions, and no other.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class _DataclassFields:
@@ -46,6 +50,18 @@ class _DataclassFields:
         return fields
 
 
+def _field_equal(a, b) -> bool:
+    """Equality of two fields as a tuple compares its items, but ndarrays are
+    equal only when ``np.array_equal`` says so: it compares the shapes
+    before ``==``, which raises on shapes that cannot broadcast."""
+    if a is b:
+        return True
+    np = sys.modules.get("numpy")  # no ndarray exists before numpy is loaded
+    if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return bool(a == b)
+
+
 class _Record:
     """A frozen record whose fields are its class's ``__slots__``, in order."""
 
@@ -53,13 +69,18 @@ class _Record:
 
     __dataclass_fields__ = _DataclassFields()
 
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(_field_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
 
     def __hash__(self):
         return hash(self._values())

@@ -38,20 +38,14 @@ if TYPE_CHECKING:
     from .shooting import IntegratorSettings
 
 # Functions of the shooting and report layers that bench/tracer.py reads, and
-# wraps, on this module: readable here without loading either layer at
-# import.  Each read fetches the home module's current attribute.
-_DEFERRED = {
-    "solve_shooting": "shooting",
-    "write_trajectory_csv": "shooting",
-    "compare": "report",
-    "emit_csv": "report",
-    "emit_svg_figure": "report",
-}
+# wraps, on this module without loading either layer at import.  Each read
+# fetches the current attribute of the home module the package names for it.
+_DEFERRED = ("solve_shooting", "write_trajectory_csv", "compare", "emit_csv", "emit_svg_figure")
 
 
 def __getattr__(name: str):
     if name in _DEFERRED:
-        return getattr(import_module(f".{_DEFERRED[name]}", __package__), name)
+        return getattr(import_module(__package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

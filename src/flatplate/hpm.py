@@ -70,10 +70,7 @@ class HpmConfig(_Record):
             raise ValueError(f"domain length must satisfy L > 0, got {L}")
         if epsilon <= 0:
             raise ValueError(f"epsilon must satisfy epsilon > 0, got {epsilon}")
-        set_field = object.__setattr__
-        set_field(self, "order", order)
-        set_field(self, "L", L)
-        set_field(self, "epsilon", epsilon)
+        super().__init__(order, L, epsilon)
 
 
 class HpmSeries(_Record):
@@ -87,10 +84,7 @@ class HpmSeries(_Record):
         theta_corrections: tuple[RationalPolynomial, ...],
         config: HpmConfig,
     ):
-        set_field = object.__setattr__
-        set_field(self, "f_corrections", f_corrections)
-        set_field(self, "theta_corrections", theta_corrections)
-        set_field(self, "config", config)
+        super().__init__(f_corrections, theta_corrections, config)
 
     @property
     def order(self) -> int:

@@ -5,7 +5,8 @@ Builds gridded f' profiles from both methods, measures where they agree
 diverges beyond it, and emits the CSV / SVG artifacts.  The headline number
 pair is the wall curvature f''(0): the series value is twice the eta^2
 coefficient of the partial sum (kept exact as a Fraction), the numerical
-value comes from shooting.
+value comes from shooting.  The report's ``rows`` is one table, which the
+CSV writes as it is: eta, f' of both methods and, ``with_theta``, theta.
 
 The grid, the interpolation of the trajectory on it, the series
 evaluation and the figure's pixel maps each have a numpy kernel and a
@@ -62,10 +63,7 @@ class Grid(_Record):
             raise ValueError(f"grid stop {stop} is not reachable from {start} in steps of {step}")
         if round(span) < 1:  # a span within the reachability tolerance of zero steps
             raise ValueError(f"grid {start}..{stop} is shorter than one step of {step}")
-        set_field = object.__setattr__
-        set_field(self, "start", start)
-        set_field(self, "stop", stop)
-        set_field(self, "step", step)
+        super().__init__(start, stop, step)
 
     def points(self) -> np.ndarray | list[float]:
         """The grid: a float64 ndarray, or a list when the stdlib kernels run."""
@@ -79,14 +77,15 @@ class Grid(_Record):
 class ComparisonReport(_Record):
     """The gridded profiles and the deviation metrics of ``compare``.
 
-    ``rows[i]`` is the row (eta, f'_numerical, f'_hpm) of grid point i:
-    ``rows`` is an (n, 3) float64 ndarray when numpy ran ``compare``, and a
-    list of float tuples when the stdlib did (see ``_format.numpy_for``).
-    ``theta_rows`` needs numpy, so it is always an ndarray.
+    ``rows`` is the table of the report, one row per grid point:
+    (eta, f'_numerical, f'_hpm), followed by (theta_numerical, theta_hpm)
+    when ``compare`` ran ``with_theta``.  It is an (n, 3) or (n, 5) float64
+    ndarray when numpy ran ``compare``, and a list of float 3-tuples when
+    the stdlib did (see ``_format.numpy_for``); theta needs numpy.
     """
 
     __slots__ = ("rows", "max_dev_inside", "dev_at_probe", "probe_eta", "s_numerical",
-                 "s_hpm_exact", "domain_length", "extrapolated_from", "theta_rows")
+                 "s_hpm_exact", "domain_length", "extrapolated_from")
 
     def __init__(
         self,
@@ -98,18 +97,9 @@ class ComparisonReport(_Record):
         s_hpm_exact: Fraction,
         domain_length: float,
         extrapolated_from: float | None,  # eta_max, when the grid runs past the trajectory
-        theta_rows: np.ndarray | None = None,  # (n, 2): theta_numerical, theta_hpm
     ):
-        set_field = object.__setattr__
-        set_field(self, "rows", rows)
-        set_field(self, "max_dev_inside", max_dev_inside)
-        set_field(self, "dev_at_probe", dev_at_probe)
-        set_field(self, "probe_eta", probe_eta)
-        set_field(self, "s_numerical", s_numerical)
-        set_field(self, "s_hpm_exact", s_hpm_exact)
-        set_field(self, "domain_length", domain_length)
-        set_field(self, "extrapolated_from", extrapolated_from)
-        set_field(self, "theta_rows", theta_rows)
+        super().__init__(rows, max_dev_inside, dev_at_probe, probe_eta, s_numerical,
+                         s_hpm_exact, domain_length, extrapolated_from)
 
 
 def compare(
@@ -149,7 +139,13 @@ def compare(
     else:
         fprime_num = np.interp(eta, traj.eta, traj.fp, right=1.0)
         fprime_hpm = fprime_series.eval_float(eta)
-        rows = np.column_stack([eta, fprime_num, fprime_hpm])
+        columns = [eta, fprime_num, fprime_hpm]
+        if with_theta:
+            profile = theta_profile(traj, float(series.config.epsilon))
+            # theta(infinity) = 0, so extrapolate past the trajectory as 0
+            columns.append(np.interp(eta, profile[:, 0], profile[:, 1], right=0.0))
+            columns.append(series.partial_sum("theta").eval_float(eta))
+        rows = np.column_stack(columns)
         inside = (eta >= 0.0) & (eta <= L + 1.0e-12)
         deviation = np.abs(fprime_hpm - fprime_num)
         max_dev_inside = float(np.max(deviation[inside])) if np.any(inside) else None
@@ -160,29 +156,11 @@ def compare(
     else:
         dev_at_probe = None
 
-    theta_rows = None
-    if with_theta:
-        eps = float(series.config.epsilon)
-        profile = theta_profile(traj, eps)
-        # theta(infinity) = 0, so extrapolate past the trajectory as 0
-        theta_num = np.interp(eta, profile[:, 0], profile[:, 1], right=0.0)
-        theta_sum = series.partial_sum("theta")
-        theta_hpm = theta_sum.eval_float(eta)
-        theta_rows = np.column_stack([theta_num, theta_hpm])
-
     s_hpm_exact = 2 * f_sum.coefficient(2)
     eta_max = float(traj.eta[-1])  # integrate_blasius pins the last node to eta_max
-    return ComparisonReport(
-        rows=rows,
-        max_dev_inside=max_dev_inside,
-        dev_at_probe=dev_at_probe,
-        probe_eta=probe_eta,
-        s_numerical=shot.s_star,
-        s_hpm_exact=s_hpm_exact,
-        domain_length=L,
-        extrapolated_from=eta_max if grid.stop > eta_max else None,
-        theta_rows=theta_rows,
-    )
+    extrapolated_from = eta_max if grid.stop > eta_max else None
+    return ComparisonReport(rows, max_dev_inside, dev_at_probe, probe_eta, shot.s_star,
+                            s_hpm_exact, L, extrapolated_from)
 
 
 def _interp(x: float, xp: Sequence[float], fp: Sequence[float], right: float) -> float:
@@ -211,13 +189,11 @@ def _columns(rows) -> list:
 
 
 def emit_csv(report: ComparisonReport, path, stamp_lines: Sequence[str] = ()) -> None:
-    """Write the gridded profiles: eta,fprime_numerical,fprime_hpm (+ theta
-    columns when present), in the CSV format of ``write_csv``."""
-    header, columns = "eta,fprime_numerical,fprime_hpm", _columns(report.rows)
-    if report.theta_rows is not None:
-        header += ",theta_numerical,theta_hpm"
-        columns += [*report.theta_rows.T]
-    _format.write_csv(path, header, columns, stamp_lines)
+    """Write the report table: eta,fprime_numerical,fprime_hpm (+ the two
+    theta columns when present), in the CSV format of ``write_csv``."""
+    columns = _columns(report.rows)
+    names = ("eta", "fprime_numerical", "fprime_hpm", "theta_numerical", "theta_hpm")
+    _format.write_csv(path, ",".join(names[:len(columns)]), columns, stamp_lines)
 
 
 # -- SVG figure ----------------------------------------------------------------

@@ -90,10 +90,7 @@ class IntegratorSettings(_Record):
             )
         if not shoot_tol > 0:
             raise ValueError(f"shoot_tol must be > 0, got {shoot_tol}")
-        set_field = object.__setattr__
-        set_field(self, "eta_max", eta_max)
-        set_field(self, "step", step)
-        set_field(self, "shoot_tol", shoot_tol)
+        super().__init__(eta_max, step, shoot_tol)
 
 
 class Trajectory(_Record):
@@ -105,11 +102,7 @@ class Trajectory(_Record):
     __slots__ = ("eta", "f", "fp", "fpp")
 
     def __init__(self, eta: array, f: array, fp: array, fpp: array):
-        set_field = object.__setattr__
-        set_field(self, "eta", eta)
-        set_field(self, "f", f)
-        set_field(self, "fp", fp)
-        set_field(self, "fpp", fpp)
+        super().__init__(eta, f, fp, fpp)
 
     def __len__(self) -> int:
         return len(self.eta)
@@ -120,11 +113,7 @@ class ShootingResult(_Record):
 
     # iterations: the RK4 passes the search for s* made, the march and one integration
     def __init__(self, s_star: float, trajectory: Trajectory, residual: float, iterations: int):
-        set_field = object.__setattr__
-        set_field(self, "s_star", s_star)
-        set_field(self, "trajectory", trajectory)
-        set_field(self, "residual", residual)
-        set_field(self, "iterations", iterations)
+        super().__init__(s_star, trajectory, residual, iterations)
 
 
 def _steps(settings: IntegratorSettings) -> tuple[int, Iterator[float]]:

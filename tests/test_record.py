@@ -24,7 +24,7 @@ from flatplate.shooting import IntegratorSettings, ShootingResult, Trajectory
 
 MISSING = dataclasses.MISSING
 
-# The fields, in order, with their defaults, as the dataclasses declared them.
+# The fields, in order, with their defaults: those of the frozen dataclass twin.
 DECLARED = {
     "IntegratorSettings": [("eta_max", 10.0), ("step", 1.0e-3), ("shoot_tol", 1.0e-8)],
     "Trajectory": [("eta", MISSING), ("f", MISSING), ("fp", MISSING), ("fpp", MISSING)],
@@ -34,8 +34,7 @@ DECLARED = {
     "ComparisonReport": [("rows", MISSING), ("max_dev_inside", MISSING),
                          ("dev_at_probe", MISSING), ("probe_eta", MISSING),
                          ("s_numerical", MISSING), ("s_hpm_exact", MISSING),
-                         ("domain_length", MISSING), ("extrapolated_from", MISSING),
-                         ("theta_rows", None)],
+                         ("domain_length", MISSING), ("extrapolated_from", MISSING)],
     "HpmConfig": [("order", MISSING), ("L", Fraction(5)), ("epsilon", Fraction(1))],
     "HpmSeries": [("f_corrections", MISSING), ("theta_corrections", MISSING),
                   ("config", MISSING)],

@@ -140,12 +140,28 @@ class TestCompare:
         assert np.array_equal(again.rows, default_report.rows)
         assert again.max_dev_inside == default_report.max_dev_inside
 
-    def test_theta_columns(self, series_order3, default_shot):
+    def test_theta_columns(self, series_order3, default_shot, default_report):
         report = compare(series_order3, default_shot, Grid(), with_theta=True)
-        assert report.theta_rows is not None
-        assert report.theta_rows.shape == (241, 2)
-        assert report.theta_rows[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert report.theta_rows[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert report.rows.shape == (241, 5)
+        assert report.rows[0, 3] == pytest.approx(1.0, abs=1e-12)
+        assert report.rows[0, 4] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(report.rows[:, :3], default_report.rows)
+
+    def test_reports_with_array_rows_compare_by_value(self, series_order3, default_shot):
+        grid = Grid(0.0, 6.0, 1.0)
+        report = compare(series_order3, default_shot, grid)
+        assert isinstance(report.rows, np.ndarray)
+        assert report == compare(series_order3, default_shot, grid)
+        fields = dataclasses.astuple(report)
+        theta = compare(series_order3, default_shot, grid, with_theta=True)
+        changed_cell = report.rows.copy()
+        changed_cell[3, 2] += 1.0e-12
+        for rows in (theta.rows, theta.rows[:, :3].T, report.rows[:-1], changed_cell,
+                     report.rows.tolist()):
+            assert report != type(report)(rows, *fields[1:])
+        assert report != type(report)(report.rows, *fields[1:-1], 6.0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
 
 
 class TestCsv:
