@@ -157,12 +157,19 @@ class RationalPolynomial:
     def _horner(terms: Sequence[tuple[int, Fraction | float]], x):
         """Sparse Horner over nonempty (power, coeff) pairs in descending
         power order, each coefficient already of the type of ``x`` (float
-        for a ``_GridPowers``)."""
+        for a ``_GridPowers``).  ``x ** gap`` is made only when the gap changes
+        (a partial sum steps down by 3), and only the latest power is kept: it
+        is dropped before ``x ** last``, so a grid holds at most three arrays."""
         terms = iter(terms)
         last, acc = next(terms)
+        gap = step = None
         for power, coeff in terms:
-            acc = acc * x ** (last - power) + coeff
+            if last - power != gap:
+                gap, step = last - power, None  # free the previous power first
+                step = x**gap
+            acc = acc * step + coeff
             last = power
+        step = None
         return acc * x**last
 
     def eval_exact(self, x: RationalLike) -> Fraction:
@@ -177,9 +184,9 @@ class RationalPolynomial:
         A numpy array ``x`` gives a float64 array of its shape, bit-equal
         point by point to the scalar evaluation (see ``_GridPowers``); a
         list, the grid of the stdlib kernels, gives the list of scalar
-        evaluations; any other ``x`` gives a float.  The rounded
-        coefficients are computed on the first call and reused by every
-        later one.
+        evaluations; any other ``x`` gives a float.  A call raises ``x`` to a
+        new power only where the gap between powers changes (see ``_horner``);
+        the rounded coefficients are made on the first call and reused.
         """
         terms = self._float_terms
         if terms is None:
@@ -235,9 +242,11 @@ class RationalPolynomial:
         coeffs: dict[int, Fraction] = {}
         for entry in obj:
             try:
-                power = int(entry["power"])
+                power = int(str(entry["power"]))
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"not a serialized polynomial term: {entry!r}") from None
+            if power in coeffs:
+                raise ValueError(f"serialized polynomial repeats power {power}")
             coeffs[power] = rational_from_obj(entry)
         return cls(coeffs)
 
@@ -249,33 +258,32 @@ class _GridPowers:
     the operation of the scalar path: ``np.power`` rounds differently in the
     last bit, and returns inf where ``**`` raises OverflowError.  The
     recurrence ``acc * x**gap + c`` then runs on whole arrays, where ``*``
-    and ``+`` round exactly as they do on floats.  Only the latest power is
-    kept; the series' partial sums step down by one repeated gap (3) until
-    their lowest powers, so each distinct gap is computed once.  The points pass
-    through Python floats _CHUNK_POINTS at a time.
+    and ``+`` round exactly as they do on floats.  ``float ** 1`` is the
+    float itself and ``float ** 0`` is 1.0 (nan, inf and -0.0 included), so
+    those two powers need no pass over the points.  The points pass through
+    Python floats _CHUNK_POINTS at a time.
     """
 
-    __slots__ = ("points", "exponent", "power")
+    __slots__ = ("points",)
 
     def __init__(self, points: np.ndarray):
         import numpy as np
 
         self.points = np.asarray(points, dtype=np.float64)
-        self.exponent, self.power = None, None
 
     def __pow__(self, exponent: int) -> np.ndarray:
         import numpy as np
 
-        if exponent != self.exponent:
-            self.power = None  # free the previous power before making the next
-            flat, gap = self.points.ravel(), itertools.repeat(exponent)
-            values = itertools.chain.from_iterable(
-                map(pow, flat[start : start + _CHUNK_POINTS].tolist(), gap)
-                for start in range(0, flat.size, _CHUNK_POINTS)
-            )
-            power = np.fromiter(values, np.float64, flat.size)
-            self.exponent, self.power = exponent, power.reshape(self.points.shape)
-        return self.power
+        if exponent == 1:
+            return self.points
+        if exponent == 0:
+            return np.ones_like(self.points)
+        flat, gap = self.points.ravel(), itertools.repeat(exponent)
+        values = itertools.chain.from_iterable(
+            map(pow, flat[start : start + _CHUNK_POINTS].tolist(), gap)
+            for start in range(0, flat.size, _CHUNK_POINTS)
+        )
+        return np.fromiter(values, np.float64, flat.size).reshape(self.points.shape)
 
 
 def _format_term(power: int, coeff: Fraction) -> str:

@@ -48,9 +48,9 @@ from .exact import (
 
 
 # Highest accepted order.  Build time grows about as the fourth power of the
-# order (0.25 s at order 60 and L = 5 on a 2-vCPU host, 0.05 s at order 40;
-# 0.36 s at order 60 and L = 10^20, 1.0 s at L = 10^300), so an unchecked
-# order is an unbounded computation.
+# order, all of it in the convolution (on a 2-vCPU host 0.055 s at order 40,
+# 0.34 s at order 60 and L = 5 or 10^20, 1.4 s at L = 10^300), so an
+# unchecked order is an unbounded computation.
 MAX_ORDER = 60
 
 
@@ -149,18 +149,22 @@ def _convolve(left: Sequence[DenseCorrection], right: Sequence[DenseCorrection])
     return acc, den
 
 
-def _step(j: int, prior_f: Sequence[DenseCorrection], prior: Sequence[DenseCorrection],
+def _derivative(correction: DenseCorrection, offset: int) -> DenseCorrection:
+    """The dense u^(offset) of u: slot m, eta^(3m+offset) -> eta^(3m), times (3m+offset)!/(3m)!."""
+    nums, den = correction
+    return [math.perm(3 * m + offset, offset) * n for m, n in enumerate(nums)], den
+
+
+def _step(j: int, prior_f: Sequence[DenseCorrection], derivative: Sequence[DenseCorrection],
           offset: int, factor: Fraction) -> DenseCorrection:
     """Order-j correction u_j of u^(offset+1) = factor * sum_{k<j} f_k u^(offset)_{j-1-k}
     at L = 1, u being f (offset 2) or theta (offset 1); ``prior_f`` holds
-    f_0..f_{j-1} and ``prior`` u_0..u_{j-1}.
+    f_0..f_{j-1} and ``derivative`` u^(offset)_0..u^(offset)_{j-1}.
 
     The antiderivative divides slot p by (3p+3)...(3p+3+offset) and moves it
     to slot p+1; slot 0 (eta^offset) is then fitted so that u^(offset-1)(1) = 0.
-    Derivative weights, divisors and fit weights are falling factorials of the offset.
+    Divisors and fit weights are falling factorials of the offset.
     """
-    weights = [math.perm(3 * m + offset, offset) for m in range(j)]
-    derivative = [([w * n for w, n in zip(weights, nums)], den) for nums, den in prior]
     nums, den = _convolve(prior_f, derivative)
     divisors = [math.perm(3 * p + 3 + offset, offset + 1) for p in range(j)]
     fit_weights = [math.perm(3 * m + offset, offset - 1) for m in range(j + 1)]
@@ -175,31 +179,32 @@ def _step(j: int, prior_f: Sequence[DenseCorrection], prior: Sequence[DenseCorre
     return [n // g for n in nums], den // g
 
 
-def recurrence_step_f(j: int, prior_f: Sequence[DenseCorrection]) -> DenseCorrection:
-    """Order-j momentum correction at L = 1 from corrections 0..j-1.
+def recurrence_step_f(j: int, prior_f: Sequence[DenseCorrection],
+                      prior_fpp: Sequence[DenseCorrection]) -> DenseCorrection:
+    """Order-j momentum correction at L = 1 from f_0..f_{j-1} and f''_0..f''_{j-1}.
 
     Solves f_j''' = -(1/2) sum_{k<j} f_k f''_{j-1-k} exactly: triple
     antiderivative (zero constants) kills nothing at 0, the conditions
     f_j(0)=0 and f_j'(0)=0 exclude the 1 and eta homogeneous terms, and the
     remaining c*eta^2 term is fixed by f_j'(1) = 0.
     """
-    return _step(j, prior_f, prior_f, 2, Fraction(-1, 2))
+    return _step(j, prior_f, prior_fpp, 2, Fraction(-1, 2))
 
 
 def recurrence_step_theta(
     j: int,
     prior_f: Sequence[DenseCorrection],
-    prior_theta: Sequence[DenseCorrection],
+    prior_theta_p: Sequence[DenseCorrection],
     epsilon: Fraction,
 ) -> DenseCorrection:
-    """Order-j temperature correction at L = 1 from f and theta corrections 0..j-1.
+    """Order-j temperature correction at L = 1 from f_0..f_{j-1} and theta'_0..theta'_{j-1}.
 
     Solves eps theta_j'' = -(1/2) sum_{k<j} f_k theta'_{j-1-k}: double
     antiderivative, theta_j(0)=0 excludes the constant, and the b*eta term
     is fixed by theta_j(1) = 0.  Division by eps happens here, which is why
     eps = 0 is rejected at config construction.
     """
-    return _step(j, prior_f, prior_theta, 1, Fraction(-1, 2) / epsilon)
+    return _step(j, prior_f, prior_theta_p, 1, Fraction(-1, 2) / epsilon)
 
 
 def _coefficients(
@@ -229,11 +234,13 @@ def _unit_corrections(
     and theta_0'' = 0 with theta_0(0)=1, theta_0(1)=0: f_0 = eta^2/2 and
     theta_0 = 1 - eta.  theta_j needs only f_0..f_{j-1}, so it comes first.
     """
-    f_list = [([1], 2)]
-    theta_list = [([-1], 1)]
+    f_list, fpp_list = [([1], 2)], [([2], 2)]
+    theta_list, theta_p_list = [([-1], 1)], [([-1], 1)]
     for j in range(1, order + 1):
-        theta_list.append(recurrence_step_theta(j, f_list, theta_list, epsilon))
-        f_list.append(recurrence_step_f(j, f_list))
+        theta_list.append(recurrence_step_theta(j, f_list, theta_p_list, epsilon))
+        theta_p_list.append(_derivative(theta_list[-1], 1))
+        f_list.append(recurrence_step_f(j, f_list, fpp_list))
+        fpp_list.append(_derivative(f_list[-1], 2))
     return f_list, theta_list
 
 
@@ -269,7 +276,7 @@ def series_from_document(doc: dict) -> HpmSeries:
     """Inverse of :func:`series_to_document`; round-trips bit-exactly."""
     try:
         config = HpmConfig(
-            order=int(doc["order"]),
+            order=int(str(doc["order"])),
             L=rational_from_obj(doc["L"]),
             epsilon=rational_from_obj(doc["epsilon"]),
         )

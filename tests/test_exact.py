@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,15 @@ class TestPolynomialBasics:
         assert obj[0] == {"power": 2, "num": "1348969", "den": "7741440"}
         assert RationalPolynomial.from_obj(obj) == TARGET_POLY
 
+    @pytest.mark.parametrize("powers", [[True], [2.0], [2.5], [2, 2]],
+                             ids=["bool", "float", "fraction", "repeated"])
+    def test_from_obj_reads_powers_strictly(self, powers):
+        """A power is a decimal integer, as num and den are: int() would read
+        True as 1 and 2.5 as 2, and a repeated power would overwrite a term."""
+        obj = [{"power": p, "num": str(n), "den": "1"} for n, p in enumerate(powers, 1)]
+        with pytest.raises(ValueError):
+            RationalPolynomial.from_obj(obj)
+
 
 # random sparse polynomials: powers 0..8, modest rational coefficients
 coefficients = st.fractions(
@@ -289,6 +299,25 @@ class TestArrayEvalFloat:
         assert scalar_first.eval_float(points).tobytes() == expected
         assert array_first.eval_float(points).tobytes() == expected
         assert scalar_sweep(array_first, xs).tobytes() == expected
+
+
+@pytest.mark.parametrize("which", ["f", "f'", "theta"])
+def test_grid_evaluation_holds_at_most_three_grids(which):
+    """Horner on a grid holds the accumulator, one power of the points and one
+    temporary.  A power kept past its last use makes four.  The slack covers
+    the chunk of Python floats a power passes through."""
+    poly = build_series(HpmConfig(order=12)).partial_sum(which.rstrip("'"))
+    if which == "f'":
+        poly = poly.derivative()
+    eta = np.linspace(0.0, 12.0, 1_000_001)
+    poly.eval_float(0.0)  # builds the float table, which is not grid memory
+    tracemalloc.start()
+    try:
+        poly.eval_float(eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * eta.nbytes + 2**16, peak / eta.nbytes
 
 
 class TestFloatTableIsInvisible:

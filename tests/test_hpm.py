@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import math
 import pickle
 from fractions import Fraction
 from pathlib import Path
@@ -292,6 +293,37 @@ class TestBuildSeries:
         text = json.dumps(series_to_document(series), indent=2)
         assert text == json.dumps(series_to_document(reference), indent=2)
 
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10), Fraction(1, 7)])
+    def test_unit_corrections_match_the_rederiving_step(self, eps):
+        """The engine keeps each correction's f'' and theta'; the step below
+        derives every earlier correction again at every order.  Both must give
+        the same integers at every order up to 40."""
+        f_list, theta_list = [([1], 2)], [([-1], 1)]
+        for j in range(1, 41):
+            theta_list.append(rederiving_step(j, f_list, theta_list, 1, Fraction(-1, 2) / eps))
+            f_list.append(rederiving_step(j, f_list, f_list, 2, Fraction(-1, 2)))
+        assert hpm._unit_corrections(40, eps) == (f_list, theta_list)
+
+
+def rederiving_step(j, prior_f, prior, offset, factor):
+    """The order-j step of the dense engine as it was before derivatives were
+    kept per correction: ``prior`` holds u_0..u_{j-1}, and u^(offset) of each
+    is built here, on every call."""
+    weights = [math.perm(3 * m + offset, offset) for m in range(j)]
+    derivative = [([w * n for w, n in zip(weights, nums)], den) for nums, den in prior]
+    nums, den = hpm._convolve(prior_f, derivative)
+    divisors = [math.perm(3 * p + 3 + offset, offset + 1) for p in range(j)]
+    fit_weights = [math.perm(3 * m + offset, offset - 1) for m in range(j + 1)]
+    M = math.lcm(*divisors)
+    nums = [0] + [n * factor.numerator * (M // t) for n, t in zip(nums, divisors)]
+    den *= M * factor.denominator
+    nums[0] = -sum(w * n for w, n in zip(fit_weights[1:], nums[1:]))
+    scale = fit_weights[0]
+    nums[1:] = [n * scale for n in nums[1:]]
+    den *= scale
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
 
 def test_benchmark_tracer_still_sees_the_engine():
     """bench/tracer.py wraps both recurrence steps and build_series by name, so
@@ -474,6 +506,28 @@ class TestSeriesDocument:
         text = json.dumps(series_to_document(series_order3))
         back = series_from_document(json.loads(text))
         assert back.partial_sum("f") == TARGET_SUM
+
+    @pytest.mark.parametrize("order, value", [(3, 3.9), (3, 3.0), (1, True)])
+    def test_rejects_an_order_that_is_not_an_integer(self, order, value):
+        """int() would read 3.9 as 3 and True as 1, and load the document."""
+        doc = series_to_document(build_series(HpmConfig(order=order)))
+        doc["order"] = value
+        with pytest.raises(ValueError):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("value", [True, 1.0, 1.5])
+    def test_rejects_a_power_that_is_not_an_integer(self, series_order3, value):
+        doc = series_to_document(series_order3)
+        assert doc["theta"][0][1]["power"] == 1  # theta_0 = 1 - eta/5
+        doc["theta"][0][1]["power"] = value
+        with pytest.raises(ValueError, match="not a serialized polynomial term"):
+            series_from_document(doc)
+
+    def test_rejects_a_repeated_power(self, series_order3):
+        doc = series_to_document(series_order3)
+        doc["f"][1].append({**doc["f"][1][0], "num": "7"})
+        with pytest.raises(ValueError, match="repeats power 2"):
+            series_from_document(doc)
 
     def test_rejects_wrong_list_length(self, series_order3):
         doc = series_to_document(series_order3)
