@@ -12,6 +12,8 @@ evaluation reads; it is a function of the immutable coefficients, so two
 threads that fill it at once write equal tuples.  Float evaluation, at a
 point, over a list of floats or over a whole float64 grid, is provided for
 plotting and comparison only; the rational path is the source of truth.
+The module holds arithmetic, evaluation and display only: the exact JSON
+form of the coefficients is the series document of ``flatplate.hpm``.
 
 This module never imports numpy: ``eval_float`` finds it in ``sys.modules``
 when it is given an array, and the list form serves the stdlib kernels of
@@ -23,16 +25,14 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
+
+from ._format import CHUNK_ROWS
 
 if TYPE_CHECKING:
     import numpy as np
 
 RationalLike = Union[Fraction, int, str]
-
-# Grid points raised to a power per list of Python floats; bounds the memory
-# that list takes, whatever the size of the grid.
-_CHUNK_POINTS = 1024
 
 
 def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
@@ -57,32 +57,13 @@ def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
     raise ValueError(f"cannot interpret {value!r}{where} as a rational number")
 
 
-def rational_to_obj(r: Fraction) -> dict:
-    """Serialize a rational as decimal strings, {"num": "-4867", "den": "10752000"}.
-
-    Strings rather than machine integers keep the values exact in any host.
-    """
-    return {"num": str(r.numerator), "den": str(r.denominator)}
-
-
-def rational_from_obj(obj: Mapping) -> Fraction:
-    try:
-        num = int(str(obj["num"]))
-        den = int(str(obj["den"]))
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"not a serialized rational: {obj!r}") from None
-    if den <= 0:
-        raise ValueError(f"serialized rational must have positive denominator: {obj!r}")
-    return Fraction(num, den)
-
-
 class RationalPolynomial:
     """Sparse univariate polynomial in eta over the rationals.
 
     Terms with coefficient zero are never stored, so equality is plain
     dict equality and the zero polynomial is the empty map.  ``_float_terms``
     caches the descending (power, float(coeff)) table of ``eval_float``;
-    it takes no part in equality, hashing, display or serialization.
+    it takes no part in equality, hashing, display or the series document.
     """
 
     __slots__ = ("_coeffs", "_float_terms")
@@ -91,7 +72,7 @@ class RationalPolynomial:
         """``coeffs`` maps powers to coefficients; zero coefficients are dropped."""
         store: dict[int, Fraction] = {}
         for power, coeff in (coeffs or {}).items():
-            if not isinstance(power, int) or power < 0:
+            if type(power) is not int or power < 0:  # no bool
                 raise ValueError(f"polynomial power must be a non-negative integer, got {power!r}")
             c = as_rational(coeff)
             if c:
@@ -231,25 +212,6 @@ class RationalPolynomial:
                 parts.append(f"{'+' if coeff > 0 else '-'} {body}")
         return " ".join(parts)
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_obj(self) -> list[dict]:
-        """Serialize as [{"power": p, "num": "...", "den": "..."}] ascending."""
-        return [{"power": p, **rational_to_obj(c)} for p, c in self.terms()]
-
-    @classmethod
-    def from_obj(cls, obj: Iterable[Mapping]) -> "RationalPolynomial":
-        coeffs: dict[int, Fraction] = {}
-        for entry in obj:
-            try:
-                power = int(str(entry["power"]))
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"not a serialized polynomial term: {entry!r}") from None
-            if power in coeffs:
-                raise ValueError(f"serialized polynomial repeats power {power}")
-            coeffs[power] = rational_from_obj(entry)
-        return cls(coeffs)
-
 
 class _GridPowers:
     """A float64 grid that ``_horner`` can raise to integer powers.
@@ -261,7 +223,7 @@ class _GridPowers:
     and ``+`` round exactly as they do on floats.  ``float ** 1`` is the
     float itself and ``float ** 0`` is 1.0 (nan, inf and -0.0 included), so
     those two powers need no pass over the points.  The points pass through
-    Python floats _CHUNK_POINTS at a time.
+    Python floats CHUNK_ROWS at a time, the chunk of the report writers.
     """
 
     __slots__ = ("points",)
@@ -280,8 +242,8 @@ class _GridPowers:
             return np.ones_like(self.points)
         flat, gap = self.points.ravel(), itertools.repeat(exponent)
         values = itertools.chain.from_iterable(
-            map(pow, flat[start : start + _CHUNK_POINTS].tolist(), gap)
-            for start in range(0, flat.size, _CHUNK_POINTS)
+            map(pow, flat[start : start + CHUNK_ROWS].tolist(), gap)
+            for start in range(0, flat.size, CHUNK_ROWS)
         )
         return np.fromiter(values, np.float64, flat.size).reshape(self.points.shape)
 

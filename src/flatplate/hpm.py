@@ -39,12 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import _Record
-from .exact import (
-    RationalPolynomial,
-    as_rational,
-    rational_from_obj,
-    rational_to_obj,
-)
+from .exact import RationalPolynomial, as_rational
 
 
 # Highest accepted order.  Build time grows about as the fourth power of the
@@ -62,7 +57,7 @@ class HpmConfig(_Record):
     def __init__(self, order: int, L: Fraction = Fraction(5), epsilon: Fraction = Fraction(1)):
         L = as_rational(L, flag="L")
         epsilon = as_rational(epsilon, flag="epsilon")
-        if not isinstance(order, int) or order < 0:
+        if type(order) is not int or order < 0:  # no bool: the document writes a JSON integer
             raise ValueError(f"order must be a non-negative integer, got {order!r}")
         if order > MAX_ORDER:
             raise ValueError(f"order must be at most {MAX_ORDER}, got {order}")
@@ -262,29 +257,69 @@ def build_series(config: HpmConfig) -> HpmSeries:
 
 
 def series_to_document(series: HpmSeries) -> dict:
-    """JSON-able document with every coefficient as decimal strings."""
+    """JSON-able document: order and powers as JSON integers, every rational
+    as decimal strings {"num": "-4867", "den": "10752000"}, terms ascending."""
+    L, epsilon = series.config.L, series.config.epsilon
+
+    def terms(poly: RationalPolynomial) -> list[dict]:
+        return [{"power": p, "num": str(c.numerator), "den": str(c.denominator)}
+                for p, c in poly.terms()]
+
     return {
         "order": series.order,
-        "L": rational_to_obj(series.config.L),
-        "epsilon": rational_to_obj(series.config.epsilon),
-        "f": [poly.to_obj() for poly in series.f_corrections],
-        "theta": [poly.to_obj() for poly in series.theta_corrections],
+        "L": {"num": str(L.numerator), "den": str(L.denominator)},
+        "epsilon": {"num": str(epsilon.numerator), "den": str(epsilon.denominator)},
+        "f": [terms(poly) for poly in series.f_corrections],
+        "theta": [terms(poly) for poly in series.theta_corrections],
     }
 
 
-def series_from_document(doc: dict) -> HpmSeries:
-    """Inverse of :func:`series_to_document`; round-trips bit-exactly."""
+def _integer(obj: dict, key: str) -> int:
+    """``obj[key]`` as :func:`series_to_document` writes it, else a ValueError
+    naming ``key``: order and power are JSON integers (no bool or float), num
+    and den the ``str`` of an int (no "+", "_", space, leading zero or
+    non-ASCII digit)."""
+    value = obj[key]
+    if key in ("order", "power"):
+        if type(value) is int:
+            return value
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
     try:
-        config = HpmConfig(
-            order=int(str(doc["order"])),
-            L=rational_from_obj(doc["L"]),
-            epsilon=rational_from_obj(doc["epsilon"]),
-        )
-        f_list = tuple(RationalPolynomial.from_obj(entry) for entry in doc["f"])
-        theta_list = tuple(RationalPolynomial.from_obj(entry) for entry in doc["theta"])
+        if str(number := int(value)) == value:
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key!r} must be the decimal string of an integer, got {value!r}")
+
+
+def _rational(obj: dict) -> Fraction:
+    if (den := _integer(obj, "den")) <= 0:
+        raise ValueError(f"'den' must be positive, got {obj['den']!r}")
+    return Fraction(_integer(obj, "num"), den)
+
+
+def _polynomial(terms: list[dict]) -> RationalPolynomial:
+    coeffs: dict[int, Fraction] = {}
+    for term in terms:
+        try:
+            power, coeff = _integer(term, "power"), _rational(term)
+        except ValueError as exc:
+            raise ValueError(f"not a serialized polynomial term: {exc}") from None
+        if power in coeffs:
+            raise ValueError(f"serialized polynomial repeats power {power}")
+        coeffs[power] = coeff
+    return RationalPolynomial(coeffs)
+
+
+def series_from_document(doc: dict) -> HpmSeries:
+    """Inverse of :func:`series_to_document`; round-trips bit-exactly, and
+    reads each integer only as the writer spells it (see ``_integer``)."""
+    try:
+        config = HpmConfig(_integer(doc, "order"), _rational(doc["L"]), _rational(doc["epsilon"]))
+        f_list = tuple(_polynomial(terms) for terms in doc["f"])
+        theta_list = tuple(_polynomial(terms) for terms in doc["theta"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a series document: missing or bad field ({exc})") from None
     if len(f_list) != config.order + 1 or len(theta_list) != config.order + 1:
         raise ValueError("series document correction lists do not match the stated order")
     return HpmSeries(f_list, theta_list, config)
-

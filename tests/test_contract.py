@@ -77,3 +77,23 @@ def test_long_trajectory_bytes_in_a_fresh_interpreter(fresh_cli, tmp_path):
     proc = fresh_cli(*LONG_TRAJECTORY, "out")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == LONG_TRAJECTORY_DIGEST
+
+
+# An order-25 document on L = 11/2, eps = 7/10: every term has a long numerator
+# and denominator, where the default document has an integer L and small ones
+SERIES_ORDER_25 = ("series", "--order", "25", "--domain-length", "11/2", "--epsilon", "7/10",
+                   "--format", "json", "--out")
+SERIES_ORDER_25_DIGEST = "b0e96ab4b119c6dcdfb342b419a4adc122c92c563ec85ad52d1a33f411c8c9f6"
+
+
+def test_order_25_series_bytes(capsys, tmp_path):
+    target = tmp_path / "out"
+    assert main([*SERIES_ORDER_25, str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SERIES_ORDER_25_DIGEST
+
+
+def test_order_25_series_bytes_in_a_fresh_interpreter(fresh_cli, tmp_path):
+    proc = fresh_cli(*SERIES_ORDER_25, "out")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == SERIES_ORDER_25_DIGEST

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatplate.exact import (
-    RationalPolynomial,
-    as_rational,
-    rational_from_obj,
-    rational_to_obj,
+from flatplate.exact import RationalPolynomial, as_rational
+from flatplate.hpm import (
+    HpmConfig,
+    HpmSeries,
+    build_series,
+    series_from_document,
+    series_to_document,
 )
-from flatplate.hpm import HpmConfig, build_series
 from flatplate.report import Grid
 
 # The canonical third-order partial sum; used here purely as an algebra workout.
@@ -68,15 +69,6 @@ class TestRational:
         with pytest.raises(ValueError, match="--domain-length"):
             as_rational("x", flag="--domain-length")
 
-    def test_serialization_uses_strings(self):
-        obj = rational_to_obj(Fraction(-4867, 10752000))
-        assert obj == {"num": "-4867", "den": "10752000"}
-        assert rational_from_obj(obj) == Fraction(-4867, 10752000)
-
-    def test_deserialization_rejects_bad_denominator(self):
-        with pytest.raises(ValueError):
-            rational_from_obj({"num": "1", "den": "0"})
-
 
 class TestPolynomialBasics:
     def test_monomial_product(self):
@@ -99,6 +91,12 @@ class TestPolynomialBasics:
     def test_rejects_negative_powers(self):
         with pytest.raises(ValueError):
             RationalPolynomial({-1: 1})
+
+    def test_rejects_bool_powers(self):
+        """isinstance(True, int) holds, but a series document that wrote
+        "power": true would not load."""
+        with pytest.raises(ValueError, match="power must be a non-negative integer, got True"):
+            RationalPolynomial({True: 1})
 
     def test_constructor_drops_zeros(self):
         p = RationalPolynomial({2: Fraction(0), 5: "0/7", 0: 3})
@@ -145,21 +143,6 @@ class TestPolynomialBasics:
         assert str(RationalPolynomial({2: Fraction(1, 10)})) == "(1/10)*eta^2"
         assert str(RationalPolynomial({0: 1, 1: Fraction(-1, 5)})) == "1 - (1/5)*eta"
         assert str(RationalPolynomial()) == "0"
-
-    def test_obj_round_trip(self):
-        obj = TARGET_POLY.to_obj()
-        assert [entry["power"] for entry in obj] == [2, 5, 8, 11]
-        assert obj[0] == {"power": 2, "num": "1348969", "den": "7741440"}
-        assert RationalPolynomial.from_obj(obj) == TARGET_POLY
-
-    @pytest.mark.parametrize("powers", [[True], [2.0], [2.5], [2, 2]],
-                             ids=["bool", "float", "fraction", "repeated"])
-    def test_from_obj_reads_powers_strictly(self, powers):
-        """A power is a decimal integer, as num and den are: int() would read
-        True as 1 and 2.5 as 2, and a repeated power would overwrite a term."""
-        obj = [{"power": p, "num": str(n), "den": "1"} for n, p in enumerate(powers, 1)]
-        with pytest.raises(ValueError):
-            RationalPolynomial.from_obj(obj)
 
 
 # random sparse polynomials: powers 0..8, modest rational coefficients
@@ -334,8 +317,10 @@ class TestFloatTableIsInvisible:
         assert {used: 1}[unused] == 1
         assert repr(used) == repr(unused)
         assert str(used) == str(unused)
-        assert used.to_obj() == unused.to_obj()
-        assert RationalPolynomial.from_obj(used.to_obj()) == unused
+        documents = [series_to_document(HpmSeries((p,), (p,), HpmConfig(0)))
+                     for p in (used, unused)]
+        assert documents[0] == documents[1]
+        assert series_from_document(documents[0]).f_corrections == (unused,)
         copied = copy.deepcopy(used)
         assert copied == used == unused and hash(copied) == hash(unused)
         assert copied.eval_float(2.5) == unused.eval_float(2.5)

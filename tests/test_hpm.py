@@ -40,6 +40,8 @@ F2_HAND = RationalPolynomial(
 )
 THETA1_HAND = RationalPolynomial({4: Fraction(1, 1200), 1: Fraction(-5, 48)})
 
+POSITIVE_RATIONALS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
 TARGET_SUM = RationalPolynomial(
     {
         2: Fraction(1348969, 7741440),
@@ -83,6 +85,8 @@ class TestConfig:
             (dict(order=-1, L="x"), "malformed rational literal 'x' for L"),
             (dict(order=1, L="1/2", epsilon="-1/3"), "epsilon must satisfy epsilon > 0, got -1/3"),
             (dict(order=MAX_ORDER + 1), f"order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
+            # isinstance(True, int) holds, but a document with "order": true would not load
+            (dict(order=True), "order must be a non-negative integer, got True"),
         ],
     )
     def test_validation_messages(self, kwargs, message):
@@ -252,7 +256,7 @@ class TestBuildSeries:
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10)])
     def test_partial_sum_matches_the_fold(self, L, eps):
         """Every partial sum equals the fold of RationalPolynomial additions,
-        coefficient by coefficient and in its serialized form."""
+        coefficient by coefficient and term by term, as the document writes it."""
         series = build_series(HpmConfig(order=25, L=L, epsilon=eps))
         for which, corrections in (("f", series.f_corrections),
                                    ("theta", series.theta_corrections)):
@@ -260,7 +264,7 @@ class TestBuildSeries:
                 expected = sum(corrections[: up_to + 1], RationalPolynomial())
                 got = series.partial_sum(which, up_to)
                 assert got == expected
-                assert got.to_obj() == expected.to_obj()
+                assert list(got.terms()) == list(expected.terms())
             assert series.partial_sum(which) == series.partial_sum(which, series.order)
 
     def test_correction_list_lengths(self, series_order6):
@@ -501,26 +505,69 @@ class TestSeriesDocument:
         assert leading == {"power": 2, "num": "1", "den": "10"}
 
     def test_json_round_trip_through_text(self, tmp_path, series_order3):
-        import json
-
         text = json.dumps(series_to_document(series_order3))
         back = series_from_document(json.loads(text))
         assert back.partial_sum("f") == TARGET_SUM
 
-    @pytest.mark.parametrize("order, value", [(3, 3.9), (3, 3.0), (1, True)])
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(0, 8), L=POSITIVE_RATIONALS, epsilon=POSITIVE_RATIONALS)
+    def test_round_trip_through_json_text_at_any_config(self, order, L, epsilon):
+        series = build_series(HpmConfig(order, L, epsilon))
+        text = json.dumps(series_to_document(series))
+        back = series_from_document(json.loads(text))
+        assert back == series
+        assert json.dumps(series_to_document(back)) == text
+
+    def test_writes_each_rational_as_decimal_strings(self):
+        """L, epsilon and every coefficient are written as the decimal strings
+        of numerator and denominator, terms ascending by power."""
+        theta = RationalPolynomial({0: 1, 1: Fraction(-2, 11)})
+        series = HpmSeries((TARGET_SUM,), (theta,), HpmConfig(0, "11/2", "7/10"))
+        doc = series_to_document(series)
+        assert doc["L"] == {"num": "11", "den": "2"}
+        assert doc["epsilon"] == {"num": "7", "den": "10"}
+        assert [term["power"] for term in doc["f"][0]] == [2, 5, 8, 11]
+        assert doc["f"][0][:2] == [{"power": 2, "num": "1348969", "den": "7741440"},
+                                   {"power": 5, "num": "-4867", "den": "10752000"}]
+        assert series_from_document(doc) == series
+
+    @pytest.mark.parametrize("order, value",
+                             [(3, 3.9), (3, 3.0), (1, True), (3, "3"), (3, "\u0663")])
     def test_rejects_an_order_that_is_not_an_integer(self, order, value):
-        """int() would read 3.9 as 3 and True as 1, and load the document."""
+        """int() would read 3.9 as 3, True as 1 and the Arabic-Indic digit
+        three as 3, and load the document."""
         doc = series_to_document(build_series(HpmConfig(order=order)))
         doc["order"] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'order' must be a JSON integer"):
             series_from_document(doc)
 
-    @pytest.mark.parametrize("value", [True, 1.0, 1.5])
+    @pytest.mark.parametrize("value", [True, 1.0, 1.5, "1_1", "2"])
     def test_rejects_a_power_that_is_not_an_integer(self, series_order3, value):
         doc = series_to_document(series_order3)
         assert doc["theta"][0][1]["power"] == 1  # theta_0 = 1 - eta/5
         doc["theta"][0][1]["power"] = value
-        with pytest.raises(ValueError, match="not a serialized polynomial term"):
+        message = "not a serialized polynomial term: 'power' must be a JSON integer"
+        with pytest.raises(ValueError, match=message):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("value", ["1_0", " 3 ", "\u0663", "+3", "007", 5])
+    @pytest.mark.parametrize("key", ["num", "den"])
+    @pytest.mark.parametrize("where", ["L", "epsilon", "term"])
+    def test_rejects_a_misspelled_rational(self, series_order3, where, key, value):
+        """int() reads every one of these values; the writer writes none of them."""
+        doc = series_to_document(series_order3)
+        rational = doc["f"][1][0] if where == "term" else doc[where]
+        rational[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be the decimal string of an integer"):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("where", ["L", "term"])
+    def test_rejects_a_denominator_that_is_not_positive(self, series_order3, where, value):
+        doc = series_to_document(series_order3)
+        rational = doc["f"][1][0] if where == "term" else doc[where]
+        rational["den"] = value
+        with pytest.raises(ValueError, match="'den' must be positive"):
             series_from_document(doc)
 
     def test_rejects_a_repeated_power(self, series_order3):
