@@ -32,6 +32,12 @@ TARGET_POLY = RationalPolynomial(
 )
 
 
+def polynomial_document(poly: RationalPolynomial) -> dict:
+    """The series document of an order-0 series whose f and theta are ``poly``:
+    the only place a polynomial is written to, and read from, JSON."""
+    return series_to_document(HpmSeries((poly,), (poly,), HpmConfig(0)))
+
+
 class TestRational:
     def test_add(self):
         assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
@@ -68,6 +74,12 @@ class TestRational:
     def test_parse_error_names_flag(self):
         with pytest.raises(ValueError, match="--domain-length"):
             as_rational("x", flag="--domain-length")
+
+    def test_serialization_uses_strings(self):
+        doc = polynomial_document(RationalPolynomial({5: Fraction(-4867, 10752000)}))
+        assert doc["f"][0] == [{"power": 5, "num": "-4867", "den": "10752000"}]
+        read = series_from_document(doc).f_corrections[0]
+        assert read.coefficient(5) == Fraction(-4867, 10752000)
 
 
 class TestPolynomialBasics:
@@ -143,6 +155,23 @@ class TestPolynomialBasics:
         assert str(RationalPolynomial({2: Fraction(1, 10)})) == "(1/10)*eta^2"
         assert str(RationalPolynomial({0: 1, 1: Fraction(-1, 5)})) == "1 - (1/5)*eta"
         assert str(RationalPolynomial()) == "0"
+
+    def test_obj_round_trip(self):
+        doc = polynomial_document(TARGET_POLY)
+        obj = doc["f"][0]
+        assert [entry["power"] for entry in obj] == [2, 5, 8, 11]
+        assert obj[0] == {"power": 2, "num": "1348969", "den": "7741440"}
+        assert series_from_document(doc).f_corrections == (TARGET_POLY,)
+
+    @pytest.mark.parametrize("powers", [[True], [2.0], [2.5], [2, 2]],
+                             ids=["bool", "float", "fraction", "repeated"])
+    def test_from_obj_reads_powers_strictly(self, powers):
+        """A power is a JSON integer: int() would read True as 1 and 2.5 as 2,
+        and a repeated power would overwrite a term."""
+        doc = polynomial_document(RationalPolynomial())
+        doc["f"][0] = [{"power": p, "num": str(n), "den": "1"} for n, p in enumerate(powers, 1)]
+        with pytest.raises(ValueError, match="power"):
+            series_from_document(doc)
 
 
 # random sparse polynomials: powers 0..8, modest rational coefficients
@@ -317,8 +346,7 @@ class TestFloatTableIsInvisible:
         assert {used: 1}[unused] == 1
         assert repr(used) == repr(unused)
         assert str(used) == str(unused)
-        documents = [series_to_document(HpmSeries((p,), (p,), HpmConfig(0)))
-                     for p in (used, unused)]
+        documents = [polynomial_document(p) for p in (used, unused)]
         assert documents[0] == documents[1]
         assert series_from_document(documents[0]).f_corrections == (unused,)
         copied = copy.deepcopy(used)
