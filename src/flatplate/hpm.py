@@ -293,13 +293,20 @@ def _integer(obj: dict, key: str) -> int:
 
 
 def _rational(obj: dict) -> Fraction:
+    """``obj`` as the writer spells a rational: a positive ``den``, and
+    ``num`` and ``den`` in lowest terms."""
     if (den := _integer(obj, "den")) <= 0:
         raise ValueError(f"'den' must be positive, got {obj['den']!r}")
-    return Fraction(_integer(obj, "num"), den)
+    rational = Fraction(num := _integer(obj, "num"), den)
+    if rational.denominator != den:  # Fraction reduced it
+        raise ValueError(f"{num}/{den} is not in lowest terms")
+    return rational
 
 
 def _polynomial(terms: list[dict]) -> RationalPolynomial:
+    """A term list as the writer writes it: powers ascending, no zero coefficient."""
     coeffs: dict[int, Fraction] = {}
+    last = 0
     for term in terms:
         try:
             power, coeff = _integer(term, "power"), _rational(term)
@@ -307,13 +314,20 @@ def _polynomial(terms: list[dict]) -> RationalPolynomial:
             raise ValueError(f"not a serialized polynomial term: {exc}") from None
         if power in coeffs:
             raise ValueError(f"serialized polynomial repeats power {power}")
+        if coeffs and power < last:
+            raise ValueError(f"serialized polynomial powers not ascending: {power} after {last}")
+        if not coeff:
+            raise ValueError(f"serialized polynomial has a zero coefficient at power {power}")
         coeffs[power] = coeff
+        last = power
     return RationalPolynomial(coeffs)
 
 
 def series_from_document(doc: dict) -> HpmSeries:
     """Inverse of :func:`series_to_document`; round-trips bit-exactly, and
-    reads each integer only as the writer spells it (see ``_integer``)."""
+    reads only what the writer writes: each integer as the writer spells it
+    (see ``_integer``), each rational in lowest terms, each term list
+    ascending with no zero coefficient.  So one series has one document."""
     try:
         config = HpmConfig(_integer(doc, "order"), _rational(doc["L"]), _rational(doc["epsilon"]))
         f_list = tuple(_polynomial(terms) for terms in doc["f"])

@@ -29,17 +29,23 @@ def default_shot():
 
 
 @pytest.fixture
-def fresh_cli(tmp_path):
+def fresh_python(tmp_path):
+    """Run ``python *args`` in a fresh interpreter that finds flatplate, in tmp_path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    return run
+
+
+@pytest.fixture
+def fresh_cli(fresh_python):
     """Run ``python -m flatplate *argv`` in a fresh interpreter, in tmp_path.
 
     That interpreter has not imported numpy, so small arrays go through the
     stdlib kernels (see ``flatplate._format.numpy_for``).
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "flatplate", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
-
-    return run
+    return lambda *argv: fresh_python("-m", "flatplate", *argv)

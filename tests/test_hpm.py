@@ -571,9 +571,38 @@ class TestSeriesDocument:
             series_from_document(doc)
 
     def test_rejects_a_repeated_power(self, series_order3):
+        # appended after power 5, so a repeat is named before the order is
         doc = series_to_document(series_order3)
         doc["f"][1].append({**doc["f"][1][0], "num": "7"})
         with pytest.raises(ValueError, match="repeats power 2"):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("where", ["L", "epsilon", "term"])
+    def test_rejects_a_rational_not_in_lowest_terms(self, series_order3, where):
+        """Fraction() would reduce L = 10/2 to 5 and load the document."""
+        doc = series_to_document(series_order3)
+        rational = doc["f"][1][0] if where == "term" else doc[where]
+        rational["num"] = num = str(2 * int(rational["num"]))
+        rational["den"] = den = str(2 * int(rational["den"]))
+        with pytest.raises(ValueError, match=f"(^|: ){num}/{den} is not in lowest terms$"):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("den", ["1", "7"])
+    def test_rejects_a_zero_coefficient(self, series_order3, den):
+        """RationalPolynomial would drop the term and load the document."""
+        doc = series_to_document(series_order3)
+        doc["f"][1].append({"power": 40, "num": "0", "den": den})
+        message = "zero coefficient at power 40" if den == "1" else "0/7 is not in lowest terms"
+        with pytest.raises(ValueError, match=message):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("component", ["f", "theta"])
+    def test_rejects_powers_that_do_not_ascend(self, series_order3, component):
+        doc = series_to_document(series_order3)
+        terms = doc[component][1]
+        assert len(terms) > 1
+        terms.reverse()
+        with pytest.raises(ValueError, match="powers not ascending"):
             series_from_document(doc)
 
     def test_rejects_wrong_list_length(self, series_order3):
