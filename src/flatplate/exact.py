@@ -40,11 +40,12 @@ def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
 
     Accepts Fraction, int, or a string literal such as ``"5"``, ``"11/2"``
     or ``"2.5"`` (decimal digits convert exactly).  Raises ValueError for
-    anything else; ``flag`` names the offending option in the message.
+    anything else, a bool included; ``flag`` names the offending option in
+    the message.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # True is a flag, not 1
         return Fraction(value)
     where = f" for {flag}" if flag else ""
     if isinstance(value, str):

@@ -14,10 +14,8 @@ every j >= 1,
     f_j'''      = -(1/2) sum_{k=0}^{j-1} f_k f''_{j-1-k}
     eps theta_j'' = -(1/2) sum_{k=0}^{j-1} f_k theta'_{j-1-k}
 
-Each right-hand side is a polynomial, so each order is solved exactly:
-antidifferentiate with zero constants, then add the one homogeneous term
-left free by the conditions at 0 and fit it at eta = L.  The far boundary
-is imposed at the finite length L (the "shrunk infinity"), not at infinity:
+with the far boundary imposed at the finite length L (the "shrunk
+infinity"), not at infinity:
 
     f_j(0) = 0,  f_j'(0) = 0,  f_j'(L) = delta_j0
     theta_j(0) = delta_j0,     theta_j(L) = 0
@@ -26,6 +24,36 @@ Setting p = 1 turns the correction lists into the usable approximations;
 ``HpmSeries.partial_sum`` does exactly that.  All arithmetic is exact, so
 the boundary and per-order residual identities hold as polynomial
 identities, not merely to some tolerance.
+
+The corrections in closed form.  Put u = eta/L, lambda = L^2 and
+phi(u) = f(Lu)/L.  Then phi''' + (lambda/2) phi phi'' = 0 with
+phi(0) = phi'(0) = 0 and phi'(1) = 1, and expanding phi in powers of lambda
+gives the recurrence above with lambda in place of p; theta follows in the
+same way from eps theta'' + (lambda/2) phi theta' = 0.  So the corrections
+at L = 1 are the lambda-Taylor coefficients of the problem truncated at L,
+and the corrections at L are those at L = 1 rescaled:
+f_j(eta) = L^(2j+1) f_j^(L=1)(eta/L), theta_j(eta) = L^(2j) theta_j^(L=1)(eta/L).
+
+Toepfer's scaling (1912) solves the truncated problem through Blasius's
+series (1908) for the solution of F''' + F F''/2 = 0 with F(0) = F'(0) = 0
+and F''(0) = 1:
+
+    F(xi) = sum_k c_k xi^(3k+2),   c_k = (-1/2)^k A_k / (3k+2)!,
+    A_0 = 1,   A_k = sum_{a<k} C(3k-1, 3a+2) A_a A_(k-1-a).
+
+Write F'(xi) = xi G(xi^3), so G(x) = sum_k (3k+2) c_k x^k, and let z(lambda)
+solve z G(z) = lambda; its powers are Taylor series in lambda by Lagrange
+inversion (Flajolet and Sedgewick 2009, Theorem A.2).  With Phi the integral
+of F from 0, exp(-Phi(t)/(2 eps)) = sum_k e_k t^(3k), d_k = e_k/(3k+1) and
+J(w) = sum_k d_k w^k, the corrections at L = 1 are, for k = 0..j,
+
+    f_j:      coefficient of eta^(3k+2) = c_k [lambda^(j+1)] z^(k+1)
+    theta_j:  coefficient of eta^(3k+1) = -d_k [lambda^j] z^k / J(z)
+
+and theta_0 has the constant 1 besides.  A build computes one table of
+[lambda^n] z^m, 1 <= m <= n <= order + 1, and reads every correction from
+it: about order^3/6 integer multiply-adds for the table and as many for
+the theta sums.
 
 ``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
 dataclasses API works on them, but building a series never loads
@@ -36,16 +64,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from ._record import _Record
 from .exact import RationalPolynomial, as_rational
 
 
-# Highest accepted order.  Build time grows about as the fourth power of the
-# order, all of it in the convolution (on a 2-vCPU host 0.055 s at order 40,
-# 0.34 s at order 60 and L = 5 or 10^20, 1.4 s at L = 10^300), so an
-# unchecked order is an unbounded computation.
+# Highest accepted order.  Build time grows about as the cube of the order
+# (on a 2-vCPU host 0.03 s at order 40 and 0.1 s at order 60 for L = 5 and
+# eps = 1; at order 60, 2 s at L = 10^300, most of it placing the corrections
+# at L, and 3.2 s at eps = 10^-300), so an unchecked order is an unbounded
+# computation.
 MAX_ORDER = 60
 
 
@@ -98,8 +128,8 @@ class HpmSeries(_Record):
             raise ValueError(f"which must be 'f' or 'theta', got {which!r}")
         if up_to is None:
             up_to = self.order
-        if not 0 <= up_to <= self.order:
-            raise ValueError(f"up_to must be in 0..{self.order}, got {up_to}")
+        if type(up_to) is not int or not 0 <= up_to <= self.order:  # no bool, no float
+            raise ValueError(f"up_to must be in 0..{self.order}, got {up_to!r}")
         by_power: dict[int, list[Fraction]] = {}
         for correction in corrections[: up_to + 1]:
             for power, coeff in correction.terms():
@@ -114,92 +144,140 @@ class HpmSeries(_Record):
 
 # The engine works at L = 1, on a dense integer form of each correction:
 # numerators n[0..j] of the powers eta^(3m+offset) over one positive
-# denominator, with offset 2 for f_j and 1 for theta_j (the constant 1 of
-# theta_0 is left out, since only theta' enters the recurrence).  No term
-# falls outside these powers: f_k f''_i and f_k theta'_i live on the powers
-# 3p+2, the antiderivatives move them to 3p+3+offset, and the fitted
-# homogeneous term is eta^offset.  Integers with one gcd per correction
-# replace a Fraction (and its gcd) per operation.  L is a length scale only,
-# f_j(eta) = L^(2j+1) f_j^(L=1)(eta/L) and theta_j(eta) = L^(2j)
-# theta_j^(L=1)(eta/L), so it enters once, in _coefficients, and the
-# integers of the recurrence do not grow with the digits of L.
+# denominator, in lowest terms, with offset 2 for f_j and 1 for theta_j (the
+# constant 1 of theta_0 is left out).  A row of the table of powers of z is
+# held the same way, the numerators of [lambda^n] z^m, m = 0..n, over one
+# denominator, so a row or a correction costs one gcd, not one per
+# operation.  L enters once, in _coefficients, by the scaling law, so the
+# integers of the engine do not grow with the digits of L.
+#
+# The theta weights are integers too.  With eps = p/q, e_k = E_k / ((3k)! (2p)^k)
+# where E_0 = 1 and E_n = -q sum_{k<n} C(3n-1, 3k+2) (-p)^k A_k E_(n-1-k), from
+# E' = -F E / (2 eps) for E = exp(-Phi/(2 eps)).  So d_k = E_k / ((3k+1)! (2p)^k),
+# and 1/J has the coefficients r_i = R_i / (2p)^i, where R_i are those of the
+# reciprocal of sum_k E_k w^k / (3k+1)!.
 DenseCorrection = tuple[list[int], int]
+ThetaWeights = tuple[list[int], list[tuple[int, int]], int]  # E, R over their denominators, 2p
 
 
-def _convolve(left: Sequence[DenseCorrection], right: Sequence[DenseCorrection]) -> DenseCorrection:
-    """sum_{k<j} left[k] * right[j-1-k], j = len(left), over the lcm of the
-    products' denominators."""
-    j = len(left)
-    dens = [left[k][1] * right[j - 1 - k][1] for k in range(j)]
-    den = math.lcm(*dens)
-    acc = [0] * j
-    for k in range(j):
-        b = right[j - 1 - k][0]
-        scale = den // dens[k]
-        for m, x in enumerate(left[k][0]):
-            if x:
-                x *= scale
-                for i, y in enumerate(b, m):
-                    acc[i] += x * y
-    return acc, den
-
-
-def _derivative(correction: DenseCorrection, offset: int) -> DenseCorrection:
-    """The dense u^(offset) of u: slot m, eta^(3m+offset) -> eta^(3m), times (3m+offset)!/(3m)!."""
-    nums, den = correction
-    return [math.perm(3 * m + offset, offset) * n for m, n in enumerate(nums)], den
-
-
-def _step(j: int, prior_f: Sequence[DenseCorrection], derivative: Sequence[DenseCorrection],
-          offset: int, factor: Fraction) -> DenseCorrection:
-    """Order-j correction u_j of u^(offset+1) = factor * sum_{k<j} f_k u^(offset)_{j-1-k}
-    at L = 1, u being f (offset 2) or theta (offset 1); ``prior_f`` holds
-    f_0..f_{j-1} and ``derivative`` u^(offset)_0..u^(offset)_{j-1}.
-
-    The antiderivative divides slot p by (3p+3)...(3p+3+offset) and moves it
-    to slot p+1; slot 0 (eta^offset) is then fitted so that u^(offset-1)(1) = 0.
-    Divisors and fit weights are falling factorials of the offset.
-    """
-    nums, den = _convolve(prior_f, derivative)
-    divisors = [math.perm(3 * p + 3 + offset, offset + 1) for p in range(j)]
-    fit_weights = [math.perm(3 * m + offset, offset - 1) for m in range(j + 1)]
-    M = math.lcm(*divisors)
-    nums = [0] + [n * factor.numerator * (M // t) for n, t in zip(nums, divisors)]
-    den *= M * factor.denominator
-    nums[0] = -sum(w * n for w, n in zip(fit_weights[1:], nums[1:]))
-    scale = fit_weights[0]
-    nums[1:] = [n * scale for n in nums[1:]]
-    den *= scale
+def _lowest(nums: list[int], den: int) -> DenseCorrection:
     g = math.gcd(den, *nums)
     return [n // g for n in nums], den // g
 
 
-def recurrence_step_f(j: int, prior_f: Sequence[DenseCorrection],
-                      prior_fpp: Sequence[DenseCorrection]) -> DenseCorrection:
-    """Order-j momentum correction at L = 1 from f_0..f_{j-1} and f''_0..f''_{j-1}.
+def _falling(j: int, offset: int) -> list[int]:
+    """(3j+offset)! / (3k+offset)! for k = 0..j."""
+    weights = [1]
+    for k in range(j, 0, -1):
+        weights.append(weights[-1] * (3 * k + offset) * (3 * k + offset - 1) * (3 * k + offset - 2))
+    weights.reverse()
+    return weights
 
-    Solves f_j''' = -(1/2) sum_{k<j} f_k f''_{j-1-k} exactly: triple
-    antiderivative (zero constants) kills nothing at 0, the conditions
-    f_j(0)=0 and f_j'(0)=0 exclude the 1 and eta homogeneous terms, and the
-    remaining c*eta^2 term is fixed by f_j'(1) = 0.
+
+def _blasius_integers(count: int) -> list[int]:
+    """Blasius's integers A_0..A_(count-1): F(xi) = sum_k (-1/2)^k A_k
+    xi^(3k+2) / (3k+2)! solves F''' + F F''/2 = 0 with F(0) = F'(0) = 0 and
+    F''(0) = 1."""
+    A = [1]
+    for k in range(1, count):
+        A.append(sum(math.comb(3 * k - 1, 3 * a + 2) * A[a] * A[k - 1 - a] for a in range(k)))
+    return A
+
+
+def _power_table(top: int, signed: Sequence[int]) -> list[DenseCorrection]:
+    """Row n holds [lambda^n] z^m for m = 0..n <= top, over one denominator,
+    where z(lambda) solves z G(z) = lambda; ``signed`` holds (-1)^k A_k, so
+    g_k = signed[k] / (2^k (3k+1)!).
+
+    Degree n is built after the degrees below it: for m >= 2, [lambda^n] z^m
+    = sum_a [lambda^a] z^(m-1) z_(n-a), and then z_n = -sum_(k>=1) g_k
+    [lambda^n] z^(k+1), the lambda^n coefficient of z G(z) = lambda.  The
+    denominator of degree n is the lcm of that of z_n and of each product
+    of the denominators of degrees a and n-a, so each product pair is
+    rescaled once, on its factor z_(n-a).
     """
-    return _step(j, prior_f, prior_fpp, 2, Fraction(-1, 2))
+    rows: list[DenseCorrection] = [([1], 1), ([0, 1], 1)]
+    columns = [[1], [1]]  # columns[m][n-m] = numerator of [lambda^n] z^m
+    for n in range(2, top + 1):
+        pairs = [rows[a][1] * rows[n - a][1] for a in range(1, n)]
+        den = math.lcm(*pairs)
+        z_scaled = [columns[1][n - a - 1] * (den // d) for a, d in enumerate(pairs, 1)]
+        nums = [0, 0] + [sum(map(mul, columns[m - 1], z_scaled[m - 2:])) for m in range(2, n + 1)]
+        # z_n over 2^(n-1) (3n-2)! den, by Horner's rule in k
+        z_num, z_den = 0, den
+        for k in range(1, n):
+            step = 2 * (3 * k - 1) * (3 * k) * (3 * k + 1)
+            z_num = z_num * step - signed[k] * nums[k + 1]
+            z_den *= step
+        g = math.gcd(z_num, z_den)
+        z_num, z_den = z_num // g, z_den // g
+        degree_den = math.lcm(den, z_den)
+        if degree_den != den:
+            scale = degree_den // den
+            nums = [x * scale for x in nums]
+        nums[1] = z_num * (degree_den // z_den)
+        rows.append((nums, degree_den))
+        columns.append([])
+        for m in range(1, n + 1):
+            columns[m].append(nums[m])
+    return rows
 
 
-def recurrence_step_theta(
-    j: int,
-    prior_f: Sequence[DenseCorrection],
-    prior_theta_p: Sequence[DenseCorrection],
-    epsilon: Fraction,
-) -> DenseCorrection:
-    """Order-j temperature correction at L = 1 from f_0..f_{j-1} and theta'_0..theta'_{j-1}.
+def _theta_weights(order: int, epsilon: Fraction, signed: Sequence[int]) -> ThetaWeights:
+    """E_0..E_order, R_0..R_order (each over its own denominator) and 2p, as
+    the comment above defines them."""
+    p, q = epsilon.numerator, epsilon.denominator
+    signed_p = [s * p**k for k, s in enumerate(signed)]  # (-p)^k A_k
+    E = [1]
+    for n in range(1, order + 1):
+        E.append(-q * sum(math.comb(3 * n - 1, 3 * k + 2) * signed_p[k] * E[n - 1 - k]
+                          for k in range(n)))
+    factorial = [math.factorial(3 * k + 1) for k in range(order + 1)]  # (3k+1)!
+    reciprocal = [(1, 1)]
+    for i in range(1, order + 1):
+        dens = [factorial[k] * reciprocal[i - k][1] for k in range(1, i + 1)]
+        den = math.lcm(*dens)
+        num = -sum(E[k] * reciprocal[i - k][0] * (den // d) for k, d in enumerate(dens, 1))
+        g = math.gcd(num, den)
+        reciprocal.append((num // g, den // g))
+    return E, reciprocal, 2 * p
 
-    Solves eps theta_j'' = -(1/2) sum_{k<j} f_k theta'_{j-1-k}: double
-    antiderivative, theta_j(0)=0 excludes the constant, and the b*eta term
-    is fixed by theta_j(1) = 0.  Division by eps happens here, which is why
-    eps = 0 is rejected at config construction.
+
+def recurrence_step_f(j: int, powers: DenseCorrection, signed: Sequence[int]) -> DenseCorrection:
+    """Order-j momentum correction at L = 1, read from ``powers``, row j+1 of
+    the table of powers of z: slot k is c_k [lambda^(j+1)] z^(k+1), with
+    c_k = signed[k] / (2^k (3k+2)!).
+
+    The name is that of the convolution recurrence step this reader
+    replaced: bench/tracer.py times it by name (span hpm.recurrence_f), so
+    it is called once per order j >= 1.
     """
-    return _step(j, prior_f, prior_theta_p, 1, Fraction(-1, 2) / epsilon)
+    nums, den = powers
+    falling = _falling(j, 2)
+    return _lowest([signed[k] * w * nums[k + 1] << (j - k) for k, w in enumerate(falling)],
+                   2 * falling[0] * den << j)
+
+
+def recurrence_step_theta(j: int, powers: DenseCorrection, weights: ThetaWeights) -> DenseCorrection:
+    """Order-j temperature correction at L = 1, read from ``powers``, row j
+    of the table of powers of z: slot k is -d_k sum_i r_i [lambda^j] z^(k+i).
+
+    With the weights of ``_theta_weights``, slot k is -E_k / ((3k+1)! (2p)^j)
+    times sum_i R_i (2p)^(j-k-i) [lambda^j] z^(k+i), so each entry of the
+    row is scaled once by its power of 2p.  The name is kept for the same
+    reason as that of ``recurrence_step_f`` (span hpm.recurrence_theta).
+    """
+    nums, den = powers
+    E, reciprocal, two_p = weights
+    common = math.lcm(*(d for _, d in reciprocal[: j + 1]))
+    rho = [n * (common // d) for n, d in reciprocal[: j + 1]]
+    scaled, power = nums[:], 1
+    for m in range(j, 0, -1):
+        scaled[m] *= power
+        power *= two_p
+    falling = _falling(j, 1)
+    return _lowest([-E[k] * w * sum(map(mul, rho, scaled[k:])) for k, w in enumerate(falling)],
+                   falling[0] * power * common * den)
 
 
 def _coefficients(
@@ -225,17 +303,17 @@ def _unit_corrections(
 ) -> tuple[list[DenseCorrection], list[DenseCorrection]]:
     """The dense f and theta corrections 0..order at L = 1: the L-free half of a build.
 
-    The order-0 pair solves f_0''' = 0 with f_0(0)=0, f_0'(0)=0, f_0'(1)=1
-    and theta_0'' = 0 with theta_0(0)=1, theta_0(1)=0: f_0 = eta^2/2 and
-    theta_0 = 1 - eta.  theta_j needs only f_0..f_{j-1}, so it comes first.
+    Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  Every later order is
+    read from one table of the powers of z(lambda), built here for this
+    call.
     """
-    f_list, fpp_list = [([1], 2)], [([2], 2)]
-    theta_list, theta_p_list = [([-1], 1)], [([-1], 1)]
+    signed = [(-1) ** k * a for k, a in enumerate(_blasius_integers(order + 1))]
+    powers = _power_table(order + 1, signed)
+    weights = _theta_weights(order, epsilon, signed)
+    f_list, theta_list = [([1], 2)], [([-1], 1)]
     for j in range(1, order + 1):
-        theta_list.append(recurrence_step_theta(j, f_list, theta_p_list, epsilon))
-        theta_p_list.append(_derivative(theta_list[-1], 1))
-        f_list.append(recurrence_step_f(j, f_list, fpp_list))
-        fpp_list.append(_derivative(f_list[-1], 2))
+        theta_list.append(recurrence_step_theta(j, powers[j], weights))
+        f_list.append(recurrence_step_f(j, powers[j + 1], signed))
     return f_list, theta_list
 
 

@@ -75,6 +75,17 @@ class TestRational:
         with pytest.raises(ValueError, match="--domain-length"):
             as_rational("x", flag="--domain-length")
 
+    @pytest.mark.parametrize("flag", ["L", "epsilon"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_a_bool(self, value, flag):
+        """isinstance(True, int) holds, but a flag is not the number 1."""
+        with pytest.raises(ValueError, match=f"^cannot interpret {value} for {flag} as a rational"):
+            as_rational(value, flag=flag)
+
+    def test_polynomial_rejects_a_bool_coefficient(self):
+        with pytest.raises(ValueError, match="^cannot interpret True as a rational"):
+            RationalPolynomial({2: True})
+
     def test_serialization_uses_strings(self):
         doc = polynomial_document(RationalPolynomial({5: Fraction(-4867, 10752000)}))
         assert doc["f"][0] == [{"power": 5, "num": "-4867", "den": "10752000"}]

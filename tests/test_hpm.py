@@ -13,6 +13,7 @@ import importlib.util
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,8 @@ class TestConfig:
             (dict(order=MAX_ORDER + 1), f"order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
             # isinstance(True, int) holds, but a document with "order": true would not load
             (dict(order=True), "order must be a non-negative integer, got True"),
+            (dict(order=3, L=True), "cannot interpret True for L as a rational number"),
+            (dict(order=3, epsilon=True), "cannot interpret True for epsilon as a rational number"),
         ],
     )
     def test_validation_messages(self, kwargs, message):
@@ -252,6 +255,12 @@ class TestBuildSeries:
         with pytest.raises(ValueError, match=r"^which must be 'f' or 'theta', got 'g'$"):
             series_order3.partial_sum("g")
 
+    @pytest.mark.parametrize("up_to", [True, False, 1.0, Fraction(1), "1"])
+    def test_partial_sum_rejects_an_up_to_that_is_not_an_int(self, series_order3, up_to):
+        """True would sum to order 1 and 1.0 would fail in slicing."""
+        with pytest.raises(ValueError, match=rf"^up_to must be in 0\.\.3, got {re.escape(repr(up_to))}$"):
+            series_order3.partial_sum("f", up_to=up_to)
+
     @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10)])
     def test_partial_sum_matches_the_fold(self, L, eps):
@@ -299,23 +308,64 @@ class TestBuildSeries:
 
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10), Fraction(1, 7)])
     def test_unit_corrections_match_the_rederiving_step(self, eps):
-        """The engine keeps each correction's f'' and theta'; the step below
-        derives every earlier correction again at every order.  Both must give
-        the same integers at every order up to 40."""
+        """The engine reads each correction from the table of powers of z; the
+        step below solves the recurrence again and derives every earlier
+        correction anew at every order.  Both must give the same integers at
+        every order up to 40."""
         f_list, theta_list = [([1], 2)], [([-1], 1)]
         for j in range(1, 41):
             theta_list.append(rederiving_step(j, f_list, theta_list, 1, Fraction(-1, 2) / eps))
             f_list.append(rederiving_step(j, f_list, f_list, 2, Fraction(-1, 2)))
         assert hpm._unit_corrections(40, eps) == (f_list, theta_list)
 
+    @pytest.mark.parametrize(
+        "order, eps",
+        [(order, eps) for order in (0, 1, 2, 12, 25)
+         for eps in (Fraction(1), Fraction(7, 10), Fraction(1, 7))]
+        + [(60, Fraction(7, 10)), (20, Fraction(10**40, 3)), (20, Fraction(3, 10**40))],
+    )
+    def test_unit_corrections_match_the_recurrence(self, order, eps):
+        """The closed form and the convolution recurrence give the same
+        integers, down to the common denominator of each correction, also at
+        MAX_ORDER and at an epsilon 40 orders of magnitude from 1 either way."""
+        assert hpm._unit_corrections(order, eps) == recurrence_corrections(order, eps)
 
-def rederiving_step(j, prior_f, prior, offset, factor):
-    """The order-j step of the dense engine as it was before derivatives were
-    kept per correction: ``prior`` holds u_0..u_{j-1}, and u^(offset) of each
-    is built here, on every call."""
-    weights = [math.perm(3 * m + offset, offset) for m in range(j)]
-    derivative = [([w * n for w, n in zip(weights, nums)], den) for nums, den in prior]
-    nums, den = hpm._convolve(prior_f, derivative)
+
+# The dense integer recurrence the engine ran before the closed form, kept as
+# its oracle.  A correction is (numerators of eta^(3m+offset), m = 0..j, one
+# denominator), offset 2 for f and 1 for theta, in lowest terms.
+
+
+def convolve(left, right):
+    """sum_{k<j} left[k] * right[j-1-k], j = len(left), over the lcm of the
+    products' denominators."""
+    j = len(left)
+    dens = [left[k][1] * right[j - 1 - k][1] for k in range(j)]
+    den = math.lcm(*dens)
+    acc = [0] * j
+    for k in range(j):
+        b = right[j - 1 - k][0]
+        scale = den // dens[k]
+        for m, x in enumerate(left[k][0]):
+            if x:
+                x *= scale
+                for i, y in enumerate(b, m):
+                    acc[i] += x * y
+    return acc, den
+
+
+def derivative(correction, offset):
+    """u^(offset) of u: slot m, eta^(3m+offset) -> eta^(3m), times (3m+offset)!/(3m)!."""
+    nums, den = correction
+    return [math.perm(3 * m + offset, offset) * n for m, n in enumerate(nums)], den
+
+
+def recurrence_step(j, prior_f, derivatives, offset, factor):
+    """Order-j correction u_j of u^(offset+1) = factor * sum_{k<j} f_k u^(offset)_{j-1-k}
+    at L = 1: antidifferentiate with zero constants (slot p over
+    (3p+3)...(3p+3+offset), moved to slot p+1), then fit slot 0 (eta^offset)
+    so that u^(offset-1)(1) = 0."""
+    nums, den = convolve(prior_f, derivatives)
     divisors = [math.perm(3 * p + 3 + offset, offset + 1) for p in range(j)]
     fit_weights = [math.perm(3 * m + offset, offset - 1) for m in range(j + 1)]
     M = math.lcm(*divisors)
@@ -327,6 +377,26 @@ def rederiving_step(j, prior_f, prior, offset, factor):
     den *= scale
     g = math.gcd(den, *nums)
     return [n // g for n in nums], den // g
+
+
+def recurrence_corrections(order, epsilon):
+    """f_0..f_order and theta_0..theta_order at L = 1 by the recurrence, each
+    correction's f'' and theta' derived once and kept."""
+    f_list, fpp_list = [([1], 2)], [([2], 2)]
+    theta_list, theta_p_list = [([-1], 1)], [([-1], 1)]
+    for j in range(1, order + 1):
+        theta_list.append(recurrence_step(j, f_list, theta_p_list, 1, Fraction(-1, 2) / epsilon))
+        theta_p_list.append(derivative(theta_list[-1], 1))
+        f_list.append(recurrence_step(j, f_list, fpp_list, 2, Fraction(-1, 2)))
+        fpp_list.append(derivative(f_list[-1], 2))
+    return f_list, theta_list
+
+
+def rederiving_step(j, prior_f, prior, offset, factor):
+    """``recurrence_step`` as it was before derivatives were kept per
+    correction: ``prior`` holds u_0..u_{j-1}, and u^(offset) of each is
+    built here, on every call."""
+    return recurrence_step(j, prior_f, [derivative(u, offset) for u in prior], offset, factor)
 
 
 def test_benchmark_tracer_still_sees_the_engine():
@@ -485,6 +555,38 @@ class TestTruncatedDomainOracle:
         assert gaps[25] < gaps[12]  # measured 3.2e-5 and 6.7e-4
         for order, slope in slopes.items():
             assert abs(slope - BOYD_SLOPE) > 2e-3, order  # measured 3.4e-3 and 4.1e-3
+
+    @staticmethod
+    def wall_flux(eta_max, epsilon, step):
+        """-theta'(0) of the truncated problem, 1 / int_0^L exp(-int_0^eta f / (2 eps)),
+        on one RK4 trajectory: the inner integral by the trapezoid rule with
+        its end correction -h^2/12 (f'(b) - f'(a)), the outer by Simpson's
+        rule, so the error is O(step^4) like the trajectory's."""
+        t = solve_shooting(IntegratorSettings(eta_max=eta_max, step=step)).trajectory
+        h, n = t.eta[1] - t.eta[0], len(t.eta) - 1
+        assert n % 2 == 0 and t.eta[n] == pytest.approx(eta_max)
+        inner, g = 0.0, [1.0]
+        for i in range(n):
+            inner += h / 2 * (t.f[i] + t.f[i + 1]) - h * h / 12 * (t.fp[i + 1] - t.fp[i])
+            g.append(math.exp(-inner / (2 * epsilon)))
+        return 3 / (h * (g[0] + g[n] + 4 * sum(g[1:n:2]) + 2 * sum(g[2:n:2])))
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(7, 10), Fraction(1, 2)])
+    def test_short_domain_heat_flux_converges_to_the_truncated_problem(self, eps):
+        """The theta series meets a quadrature that shares no code with it.
+        Measured gaps at eps = 1, 7/10, 1/2: 8.2e-8, 1.3e-7 and 6.9e-7 at
+        order 12, 5.3e-13, 8.0e-14 and 1.8e-12 at order 25, while the two
+        steps' quadratures differ by at most 1.1e-15.  Each bound is ten
+        times the largest gap of its order."""
+        L = Fraction(7, 2)
+        series = build_series(HpmConfig(order=25, L=L, epsilon=eps))
+        coarse, fine = (self.wall_flux(float(L), float(eps), h) for h in (1e-3, 5e-4))
+        oracle = (16 * fine - coarse) / 15
+        gaps = {o: abs(-float(series.partial_sum("theta", up_to=o).coefficient(1)) - oracle)
+                for o in (12, 25)}
+        assert gaps[12] < 7e-6
+        assert gaps[25] < 2e-11
+        assert gaps[25] < gaps[12]
 
 
 class TestSeriesDocument:
