@@ -50,10 +50,12 @@ J(w) = sum_k d_k w^k, the corrections at L = 1 are, for k = 0..j,
     f_j:      coefficient of eta^(3k+2) = c_k [lambda^(j+1)] z^(k+1)
     theta_j:  coefficient of eta^(3k+1) = -d_k [lambda^j] z^k / J(z)
 
-and theta_0 has the constant 1 besides.  A build computes one table of
-[lambda^n] z^m, 1 <= m <= n <= order + 1, and reads every correction from
-it: about order^3/6 integer multiply-adds for the table and as many for
-the theta sums.
+and theta_0 has the constant 1 besides.  Every build reads its corrections
+from one table of [lambda^n] z^m, 1 <= m <= n, shared by the process.  The
+table depends on neither L nor eps; it grows on demand to the rows an order
+needs, n <= order + 1, so to at most MAX_ORDER + 2 rows (about 230 KiB),
+at about n^3/6 integer multiply-adds for n rows, once per process.  The
+theta sums cost about order^3/6 in every build.
 
 ``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
 dataclasses API works on them, but building a series never loads
@@ -63,6 +65,7 @@ dataclasses API works on them, but building a series never loads
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -73,9 +76,9 @@ from .exact import RationalPolynomial, as_rational
 
 # Highest accepted order.  Build time grows about as the cube of the order
 # (on a 2-vCPU host 0.03 s at order 40 and 0.1 s at order 60 for L = 5 and
-# eps = 1; at order 60, 2 s at L = 10^300, most of it placing the corrections
-# at L, and 3.2 s at eps = 10^-300), so an unchecked order is an unbounded
-# computation.
+# eps = 1; at order 60, 0.6-0.8 s at L = 10^300, most of it placing the
+# corrections at L, and 3 s at eps = 10^-300), so an unchecked order is an
+# unbounded computation.
 MAX_ORDER = 60
 
 
@@ -157,7 +160,20 @@ class HpmSeries(_Record):
 # and 1/J has the coefficients r_i = R_i / (2p)^i, where R_i are those of the
 # reciprocal of sum_k E_k w^k / (3k+1)!.
 DenseCorrection = tuple[list[int], int]
-ThetaWeights = tuple[list[int], list[tuple[int, int]], int]  # E, R over their denominators, 2p
+PowerRow = tuple[tuple[int, ...], int]
+Table = tuple[tuple[int, ...], tuple[PowerRow, ...]]  # (-1)^k A_k, rows of powers of z
+# E, R over their denominators, the lcm of the denominators of R_0..R_j for each j, 2p
+ThetaWeights = tuple[list[int], list[tuple[int, int]], list[int], int]
+
+# The L- and eps-free half of the engine, shared by every build in the
+# process: rows 0..n of the table of powers of z and the signed integers
+# (-1)^k A_k, k < n, that they need.  Row n depends only on the rows below
+# it, so the table does not depend on which builds grew it.  It grows under
+# _growing, to at most MAX_ORDER + 2 rows, and is published by rebinding
+# _table to a new tuple, so a build reads it without the lock and sees a
+# complete table, the old one or the new; a published row is never changed.
+_table: Table = ((1,), (((1,), 1), ((0, 1), 1)))
+_growing = threading.Lock()
 
 
 def _lowest(nums: list[int], den: int) -> DenseCorrection:
@@ -174,31 +190,39 @@ def _falling(j: int, offset: int) -> list[int]:
     return weights
 
 
-def _blasius_integers(count: int) -> list[int]:
-    """Blasius's integers A_0..A_(count-1): F(xi) = sum_k (-1/2)^k A_k
-    xi^(3k+2) / (3k+2)! solves F''' + F F''/2 = 0 with F(0) = F'(0) = 0 and
-    F''(0) = 1."""
-    A = [1]
-    for k in range(1, count):
-        A.append(sum(math.comb(3 * k - 1, 3 * a + 2) * A[a] * A[k - 1 - a] for a in range(k)))
-    return A
+def _shared_table(top: int) -> Table:
+    """The shared table with at least rows 0..top, grown first if it is shorter."""
+    global _table
+    table = _table
+    if len(table[1]) <= top:
+        with _growing:
+            table = _table
+            if len(table[1]) <= top:
+                table = _table = _grown(table, top)
+    return table
 
 
-def _power_table(top: int, signed: Sequence[int]) -> list[DenseCorrection]:
-    """Row n holds [lambda^n] z^m for m = 0..n <= top, over one denominator,
-    where z(lambda) solves z G(z) = lambda; ``signed`` holds (-1)^k A_k, so
-    g_k = signed[k] / (2^k (3k+1)!).
+def _grown(table: Table, top: int) -> Table:
+    """``table`` extended to rows 0..top.  Row n holds [lambda^n] z^m for
+    m = 0..n over one denominator, where z(lambda) solves z G(z) = lambda
+    and G has the coefficients g_k = signed[k] / (2^k (3k+1)!), with
+    signed[k] = (-1)^k A_k.
 
-    Degree n is built after the degrees below it: for m >= 2, [lambda^n] z^m
-    = sum_a [lambda^a] z^(m-1) z_(n-a), and then z_n = -sum_(k>=1) g_k
-    [lambda^n] z^(k+1), the lambda^n coefficient of z G(z) = lambda.  The
-    denominator of degree n is the lcm of that of z_n and of each product
-    of the denominators of degrees a and n-a, so each product pair is
-    rescaled once, on its factor z_(n-a).
+    Blasius's integers come first: signed[k] = -sum_(a<k) C(3k-1, 3a+2)
+    signed[a] signed[k-1-a].  Degree n is then built after the degrees
+    below it: for m >= 2, [lambda^n] z^m = sum_a [lambda^a] z^(m-1)
+    z_(n-a), and then z_n = -sum_(k>=1) g_k [lambda^n] z^(k+1), the
+    lambda^n coefficient of z G(z) = lambda.  The denominator of degree n
+    is the lcm of that of z_n and of each product of the denominators of
+    degrees a and n-a, so each product pair is rescaled once, on its factor
+    z_(n-a).
     """
-    rows: list[DenseCorrection] = [([1], 1), ([0, 1], 1)]
-    columns = [[1], [1]]  # columns[m][n-m] = numerator of [lambda^n] z^m
-    for n in range(2, top + 1):
+    signed, rows = list(table[0]), list(table[1])
+    columns = [[nums[m] for nums, _ in rows[m:]] for m in range(len(rows))]  # [m][n-m]
+    for n in range(len(rows), top + 1):
+        k = n - 1  # row n is the first to need signed[n-1]
+        signed.append(-sum(math.comb(3 * k - 1, 3 * a + 2) * signed[a] * signed[k - 1 - a]
+                           for a in range(k)))
         pairs = [rows[a][1] * rows[n - a][1] for a in range(1, n)]
         den = math.lcm(*pairs)
         z_scaled = [columns[1][n - a - 1] * (den // d) for a, d in enumerate(pairs, 1)]
@@ -216,34 +240,36 @@ def _power_table(top: int, signed: Sequence[int]) -> list[DenseCorrection]:
             scale = degree_den // den
             nums = [x * scale for x in nums]
         nums[1] = z_num * (degree_den // z_den)
-        rows.append((nums, degree_den))
+        rows.append((tuple(nums), degree_den))
         columns.append([])
-        for m in range(1, n + 1):
+        for m in range(n + 1):
             columns[m].append(nums[m])
-    return rows
+    return tuple(signed), tuple(rows)
 
 
 def _theta_weights(order: int, epsilon: Fraction, signed: Sequence[int]) -> ThetaWeights:
-    """E_0..E_order, R_0..R_order (each over its own denominator) and 2p, as
-    the comment above defines them."""
+    """E_0..E_order, R_0..R_order (each over its own denominator), the
+    running lcm of the denominators of R, and 2p, as the comment above
+    defines them."""
     p, q = epsilon.numerator, epsilon.denominator
-    signed_p = [s * p**k for k, s in enumerate(signed)]  # (-p)^k A_k
+    signed_p = [s * p**k for k, s in enumerate(signed[:order])]  # (-p)^k A_k
     E = [1]
     for n in range(1, order + 1):
         E.append(-q * sum(math.comb(3 * n - 1, 3 * k + 2) * signed_p[k] * E[n - 1 - k]
                           for k in range(n)))
     factorial = [math.factorial(3 * k + 1) for k in range(order + 1)]  # (3k+1)!
-    reciprocal = [(1, 1)]
+    reciprocal, commons = [(1, 1)], [1]
     for i in range(1, order + 1):
         dens = [factorial[k] * reciprocal[i - k][1] for k in range(1, i + 1)]
         den = math.lcm(*dens)
         num = -sum(E[k] * reciprocal[i - k][0] * (den // d) for k, d in enumerate(dens, 1))
         g = math.gcd(num, den)
         reciprocal.append((num // g, den // g))
-    return E, reciprocal, 2 * p
+        commons.append(math.lcm(commons[-1], den // g))
+    return E, reciprocal, commons, 2 * p
 
 
-def recurrence_step_f(j: int, powers: DenseCorrection, signed: Sequence[int]) -> DenseCorrection:
+def recurrence_step_f(j: int, powers: PowerRow, signed: Sequence[int]) -> DenseCorrection:
     """Order-j momentum correction at L = 1, read from ``powers``, row j+1 of
     the table of powers of z: slot k is c_k [lambda^(j+1)] z^(k+1), with
     c_k = signed[k] / (2^k (3k+2)!).
@@ -258,7 +284,7 @@ def recurrence_step_f(j: int, powers: DenseCorrection, signed: Sequence[int]) ->
                    2 * falling[0] * den << j)
 
 
-def recurrence_step_theta(j: int, powers: DenseCorrection, weights: ThetaWeights) -> DenseCorrection:
+def recurrence_step_theta(j: int, powers: PowerRow, weights: ThetaWeights) -> DenseCorrection:
     """Order-j temperature correction at L = 1, read from ``powers``, row j
     of the table of powers of z: slot k is -d_k sum_i r_i [lambda^j] z^(k+i).
 
@@ -268,10 +294,10 @@ def recurrence_step_theta(j: int, powers: DenseCorrection, weights: ThetaWeights
     reason as that of ``recurrence_step_f`` (span hpm.recurrence_theta).
     """
     nums, den = powers
-    E, reciprocal, two_p = weights
-    common = math.lcm(*(d for _, d in reciprocal[: j + 1]))
+    E, reciprocal, commons, two_p = weights
+    common = commons[j]
     rho = [n * (common // d) for n, d in reciprocal[: j + 1]]
-    scaled, power = nums[:], 1
+    scaled, power = list(nums), 1
     for m in range(j, 0, -1):
         scaled[m] *= power
         power *= two_p
@@ -281,21 +307,29 @@ def recurrence_step_theta(j: int, powers: DenseCorrection, weights: ThetaWeights
 
 
 def _coefficients(
-    j: int, correction: DenseCorrection, offset: int, L: Fraction
+    j: int, correction: DenseCorrection, offset: int, p_powers: list[int], q_powers: list[int]
 ) -> dict[int, Fraction]:
-    """Place the dense order-j correction at L: the coefficient of
-    eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike.  One
+    """Place the dense order-j correction at L = p/q: the coefficient of
+    eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike.  The
+    powers of p and q are read from ``p_powers`` and ``q_powers``.  One
     Fraction (and one gcd) per coefficient."""
     nums, den = correction
-    p, q = L.numerator, L.denominator
     coeffs = {}
     for m, n in enumerate(nums):
         k = 2 * j - 1 - 3 * m
         if k >= 0:
-            coeffs[3 * m + offset] = Fraction(n * p**k, den * q**k)
+            coeffs[3 * m + offset] = Fraction(n * p_powers[k], den * q_powers[k])
         else:
-            coeffs[3 * m + offset] = Fraction(n * q**-k, den * p**-k)
+            coeffs[3 * m + offset] = Fraction(n * q_powers[-k], den * p_powers[-k])
     return coeffs
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """base^0..base^top."""
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    return powers
 
 
 def _unit_corrections(
@@ -304,16 +338,15 @@ def _unit_corrections(
     """The dense f and theta corrections 0..order at L = 1: the L-free half of a build.
 
     Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  Every later order is
-    read from one table of the powers of z(lambda), built here for this
-    call.
+    read from the shared table of the powers of z(lambda), grown first if
+    it is shorter than this order needs.
     """
-    signed = [(-1) ** k * a for k, a in enumerate(_blasius_integers(order + 1))]
-    powers = _power_table(order + 1, signed)
+    signed, rows = _shared_table(order + 1)
     weights = _theta_weights(order, epsilon, signed)
     f_list, theta_list = [([1], 2)], [([-1], 1)]
     for j in range(1, order + 1):
-        theta_list.append(recurrence_step_theta(j, powers[j], weights))
-        f_list.append(recurrence_step_f(j, powers[j + 1], signed))
+        theta_list.append(recurrence_step_theta(j, rows[j], weights))
+        f_list.append(recurrence_step_f(j, rows[j + 1], signed))
     return f_list, theta_list
 
 
@@ -321,11 +354,12 @@ def build_series(config: HpmConfig) -> HpmSeries:
     """Construct all corrections 0..config.order at L = 1, then place each at L
     as a RationalPolynomial by the scaling law.  Deterministic and exact."""
     f_list, theta_list = _unit_corrections(config.order, config.epsilon)
-    L = config.L
-    theta_coeffs = [_coefficients(j, c, 1, L) for j, c in enumerate(theta_list)]
+    top = 2 * config.order + 1  # bounds |2j-1-3m| over every coefficient
+    powers = _powers(config.L.numerator, top), _powers(config.L.denominator, top)
+    theta_coeffs = [_coefficients(j, c, 1, *powers) for j, c in enumerate(theta_list)]
     theta_coeffs[0][0] = Fraction(1)  # the constant the dense form leaves out
     return HpmSeries(
-        tuple(RationalPolynomial(_coefficients(j, c, 2, L)) for j, c in enumerate(f_list)),
+        tuple(RationalPolynomial(_coefficients(j, c, 2, *powers)) for j, c in enumerate(f_list)),
         tuple(RationalPolynomial(c) for c in theta_coeffs),
         config,
     )

@@ -399,20 +399,151 @@ def rederiving_step(j, prior_f, prior, offset, factor):
     return recurrence_step(j, prior_f, [derivative(u, offset) for u in prior], offset, factor)
 
 
+def blasius_coefficients(count):
+    """b_0..b_(count-1) of Blasius's F(xi) = sum_i b_i xi^i with F(0) = F'(0) = 0
+    and F''(0) = 1, from the xi^i coefficient of F''' = -F F''/2:
+    (i+3)(i+2)(i+1) b_(i+3) = -(1/2) sum_(a+c=i) b_a (c+2)(c+1) b_(c+2)."""
+    b = [Fraction(0), Fraction(0), Fraction(1, 2)]
+    while len(b) < count:
+        i = len(b) - 3
+        product = sum(b[a] * (i - a + 2) * (i - a + 1) * b[i - a + 2] for a in range(i + 1))
+        b.append(-product / (2 * (i + 3) * (i + 2) * (i + 1)))
+    return b
+
+
+def lagrange_z(count):
+    """[lambda^n] z for n = 0..count-1, where z G(z) = lambda and F'(xi) =
+    xi G(xi^3): by Lagrange inversion, [lambda^n] z = (1/n) [w^(n-1)] G(w)^(-n)."""
+    b = blasius_coefficients(3 * count)
+    G = [(3 * k + 2) * b[3 * k + 2] for k in range(count)]
+    H = [1 / G[0]]  # 1/G
+    for i in range(1, count):
+        H.append(-sum(G[k] * H[i - k] for k in range(1, i + 1)) / G[0])
+    z, power = [Fraction(0)], [Fraction(1)] + [Fraction(0)] * (count - 1)
+    for n in range(1, count):
+        power = [sum(power[a] * H[i - a] for a in range(i + 1)) for i in range(count)]  # H^n
+        z.append(power[n - 1] / n)
+    return z
+
+
+def test_wall_slopes_match_the_lagrange_inversion():
+    """Slot 0 of f_j at L = 1, the coefficient of eta^2, is (1/2) [lambda^(j+1)] z
+    (ROADMAP item 2).  Blasius's series and z here share no code with hpm."""
+    z = lagrange_z(27)
+    f_list, _ = hpm._unit_corrections(25, Fraction(1))
+    for j, (nums, den) in enumerate(f_list):
+        assert Fraction(nums[0], den) == z[j + 1] / 2, j
+
+
 def test_benchmark_tracer_still_sees_the_engine():
     """bench/tracer.py wraps both recurrence steps and build_series by name, so
-    the build must reach them through the module globals to be traced."""
+    the build must reach them through the module globals to be traced.  A
+    traced run needs the same counts in every round, so a build that finds
+    the shared table warm still calls each reader once per order."""
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer()
-    with tracer.installed():
-        hpm.build_series(HpmConfig(order=5))
-    assert hpm.build_series is build_series
     names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
-    metrics = tracer.metrics()
-    assert {name: metrics.get(name) for name in names} == dict(zip(names, (5, 5, 1)))
+    for _ in range(2):
+        tracer = tracer_module.Tracer()
+        with tracer.installed():
+            hpm.build_series(HpmConfig(order=5))
+        assert hpm.build_series is build_series
+        metrics = tracer.metrics()
+        assert {name: metrics.get(name) for name in names} == dict(zip(names, (5, 5, 1)))
+
+
+# Scripts for a fresh interpreter, whose shared table starts cold.  Each
+# ``cold()`` loads its own copy of the hpm module, so every build it serves
+# starts from the two seed rows without an interpreter per build.
+_COLD_COPIES = """
+import importlib.util, json
+from fractions import Fraction
+import flatplate.hpm as hpm
+
+def cold():
+    spec = importlib.util.spec_from_file_location("flatplate._cold_hpm", hpm.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert len(module._table[1]) == 2
+    return module
+
+def document(module, order, L, eps):
+    series = module.build_series(module.HpmConfig(order, Fraction(L), Fraction(eps)))
+    return json.dumps(module.series_to_document(series))
+"""
+
+
+def run_fresh(fresh_python, script):
+    proc = fresh_python("-c", _COLD_COPIES + script)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestSharedTable:
+    """The table of powers of z is shared by every build in a process and
+    grows on demand; no document may depend on how it grew."""
+
+    def test_documents_do_not_depend_on_the_builds_before(self, fresh_python):
+        """Ascending orders grow the table one row per order; after order 60
+        every build finds it full; a cold copy builds each from the seed."""
+        script = """
+configs = [(order, L, eps) for order in range(26)
+           for L, eps in ((5, 1), (Fraction(7, 2), Fraction(1, 7)), (10**20, Fraction(7, 10)))]
+growing = [document(hpm, *config) for config in configs]
+document(hpm, 60, 5, 1)
+full = [document(hpm, *config) for config in configs]
+cold = [document(cold(), *config) for config in configs]
+print(json.dumps([growing == cold, full == cold, len(cold)]))
+"""
+        assert run_fresh(fresh_python, script) == [True, True, 78]
+
+    def test_threads_growing_one_table_build_the_serial_documents(self, fresh_python):
+        script = """
+import sys, threading
+jobs = [[(60, 5, 1), (3, 7, Fraction(1, 7)), (25, Fraction(7, 2), 1)],
+        [(12, 10, Fraction(7, 10)), (40, 5, 1), (0, 5, 1)],
+        [(40, Fraction(11, 2), Fraction(1, 2)), (1, 5, 3), (60, 10**20, Fraction(1, 7))],
+        [(25, 5, Fraction(7, 10)), (18, 10, 1), (7, Fraction(1, 3), 1)]]
+documents, barrier = {}, threading.Barrier(len(jobs), timeout=60)
+
+def work(configs):
+    barrier.wait()
+    for config in configs:
+        documents[config] = document(hpm, *config)
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)
+try:
+    threads = [threading.Thread(target=work, args=(configs,)) for configs in jobs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+finally:
+    sys.setswitchinterval(interval)
+serial = cold()
+same = [documents.get(config) == document(serial, *config)
+        for configs in jobs for config in configs]
+print(json.dumps([any(thread.is_alive() for thread in threads), same.count(True), len(same),
+                  len(hpm._table[1])]))
+"""
+        assert run_fresh(fresh_python, script) == [False, 12, 12, MAX_ORDER + 2]
+
+    def test_the_table_grows_to_what_a_build_needs_and_no_further(self, fresh_python):
+        script = """
+sizes, kept = [], []
+for order in (3, 1, 12, hpm.MAX_ORDER, hpm.MAX_ORDER, 0):
+    rows = hpm._table[1]
+    hpm.build_series(hpm.HpmConfig(order, 10**20, Fraction(1, 7)))
+    signed, grown = hpm._table
+    kept.append(all(new is old for new, old in zip(grown, rows)))
+    sizes.append([len(grown), len(signed)])
+print(json.dumps([sizes, kept]))
+"""
+        rows = [5, 5, 14, MAX_ORDER + 2, MAX_ORDER + 2, MAX_ORDER + 2]
+        assert run_fresh(fresh_python, script) == [[[n, n - 1] for n in rows], [True] * 6]
 
 
 @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
