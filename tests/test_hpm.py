@@ -494,8 +494,8 @@ configs = [(order, L, eps) for order in range(26)
 growing = [document(hpm, *config) for config in configs]
 document(hpm, 60, 5, 1)
 full = [document(hpm, *config) for config in configs]
-cold = [document(cold(), *config) for config in configs]
-print(json.dumps([growing == cold, full == cold, len(cold)]))
+from_cold = [document(cold(), *config) for config in configs]
+print(json.dumps([growing == from_cold, full == from_cold, len(from_cold)]))
 """
         assert run_fresh(fresh_python, script) == [True, True, 78]
 
