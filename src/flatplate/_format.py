@@ -1,15 +1,14 @@
 """The number formats shared by the CLI, the profile and trajectory writers
-and the summaries, and the rules that pick numpy or the stdlib for a report
-array.
+and the summaries, and the one switch between numpy and the stdlib for a
+report array.
 
 The grid, its interpolation, the CSV writer and the figure's pixel maps each
-have two bit-equal kernels, numpy and stdlib.  A process that has not
-imported numpy runs the stdlib kernels, so the default ``compare``,
-``figure`` and ``shoot`` runs never load it.  Once numpy is imported (by the
-caller, by ``theta_profile``, or by a grid longer than _PURE_MAX_POINTS:
-see ``numpy_for``) the numpy kernels run.  ``write_csv`` never loads numpy
-itself (see ``loaded_numpy``): its stdlib kernel was never slower, at any
-length, than importing numpy for it.
+have two bit-equal kernels, numpy and stdlib.  Every kernel reads one switch,
+``loaded_numpy``: the numpy kernel runs once the process has imported numpy,
+the stdlib kernel otherwise, so the default ``compare``, ``figure`` and
+``shoot`` runs never load it.  The report layer loads numpy in two places
+only: ``Grid.points`` for a grid longer than _PURE_MAX_POINTS, and
+``compare(with_theta=True)``, for ``theta_profile``.  No writer loads it.
 """
 
 from __future__ import annotations
@@ -29,10 +28,11 @@ if TYPE_CHECKING:
 # 12 001-point export about 5% faster than 128; 1024 was no faster than 512.
 CHUNK_ROWS = 512
 
-# Longest grid, in points, that the stdlib kernels take in a process without
-# numpy.  A cold `compare --csv --svg` child with grid and trajectory of
-# this size costs about as much on the stdlib kernels as on numpy, its
-# import included: alternating runs put that crossover between 16 000 and
+# Longest grid, in points, that ``Grid.points`` makes without numpy in a
+# process that has not imported it; a longer grid imports numpy, so every
+# kernel after it runs on numpy.  A cold `compare --csv --svg` child with
+# grid and trajectory of this size costs about as much on the stdlib kernels
+# as on numpy, its import included: alternating runs put that crossover between 16 000 and
 # 20 000 points.  The CSV writer has no crossover, so it does not use this
 # limit: a cold `shoot --trajectory-out` took 0.21 s on the stdlib against
 # 0.38 s with numpy at 20 001 rows, and 1.97 s against 2.06 s at 250 001.
@@ -51,19 +51,9 @@ def round_half_up(value: float, decimals: int) -> str:
 
 
 def loaded_numpy():
-    """The numpy module if this process has imported it, else None."""
+    """The numpy module if this process has imported it, else None: the
+    switch between the numpy and the stdlib kernel of every report array."""
     return sys.modules.get("numpy")
-
-
-def numpy_for(rows: int):
-    """The numpy module to make or read an array of ``rows`` rows, or None
-    when the stdlib kernels run: numpy runs once it is imported, or when
-    ``rows`` passes _PURE_MAX_POINTS."""
-    if rows > _PURE_MAX_POINTS:
-        import numpy
-
-        return numpy
-    return loaded_numpy()
 
 
 def write_csv(

@@ -244,17 +244,7 @@ def _render_series(series: HpmSeries, fmt: str) -> str:
 
 
 def run_series(args: argparse.Namespace) -> int:
-    series = _series_from_args(args)
-    try:
-        text = _render_series(series, args.format)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise ValueError(
-            "a coefficient passes Python's int-to-string limit of "
-            f"{sys.get_int_max_str_digits()} digits; lower --order, give --domain-length and "
-            "--epsilon fewer digits, or set the PYTHONINTMAXSTRDIGITS environment variable"
-        ) from None
+    text = _render_series(_series_from_args(args), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -366,7 +356,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "integer string conversion" in message:  # str() of an exact value, in any subcommand
+            message = (
+                "a coefficient passes Python's int-to-string limit of "
+                f"{sys.get_int_max_str_digits()} digits; lower --order, give --domain-length and "
+                "--epsilon fewer digits, or set the PYTHONINTMAXSTRDIGITS environment variable"
+            )
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # the series, or a power of eta, leaves the float range
         # float ** int raises it with (errno, text) as its args; print the text

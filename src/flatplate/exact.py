@@ -16,8 +16,9 @@ The module holds arithmetic, evaluation and display only: the exact JSON
 form of the coefficients is the series document of ``flatplate.hpm``.
 
 This module never imports numpy: ``eval_float`` finds it in ``sys.modules``
-when it is given an array, and the list form serves the stdlib kernels of
-a process that has not loaded numpy (see ``flatplate._format.numpy_for``).
+when it is given an array, and the list form serves the stdlib kernels,
+which run in a process that has not loaded numpy (the one switch of the
+report kernels is ``flatplate._format.loaded_numpy``).
 """
 
 from __future__ import annotations

@@ -10,16 +10,18 @@ CSV writes as it is: eta, f' of both methods and, ``with_theta``, theta.
 
 The grid, the interpolation of the trajectory on it, the series
 evaluation and the figure's pixel maps each have a numpy kernel and a
-bit-equal stdlib kernel; ``_format.numpy_for`` picks one per array, so the
-default ``compare`` and ``figure`` runs never load numpy.  ``with_theta``
-loads it, for ``theta_profile``.  The probe lookup, one scalar, and the y
-ticks, at most _MAX_TICKS values, are one stdlib computation on both paths.
+bit-equal stdlib kernel; each reads ``_format.loaded_numpy``, so the default
+``compare`` and ``figure`` runs never load numpy.  Only a grid longer than
+_PURE_MAX_POINTS (``Grid.points``) and ``with_theta`` (``theta_profile``)
+load it.  The probe lookup, one scalar, and the y ticks, at most _MAX_TICKS
+values, are one stdlib computation on both paths.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -66,9 +68,12 @@ class Grid(_Record):
         super().__init__(start, stop, step)
 
     def points(self) -> np.ndarray | list[float]:
-        """The grid: a float64 ndarray, or a list when the stdlib kernels run."""
+        """The grid: a float64 ndarray, or a list when the stdlib kernels run.
+        A grid longer than _PURE_MAX_POINTS loads numpy for its kernels."""
         n = int(round((self.stop - self.start) / self.step))
-        np = _format.numpy_for(n + 1)
+        if n + 1 > _format._PURE_MAX_POINTS:
+            import numpy  # noqa: F401
+        np = _format.loaded_numpy()
         if np is None:
             return [self.start + self.step * i for i in range(n + 1)]
         return self.start + self.step * np.arange(n + 1)
@@ -81,7 +86,7 @@ class ComparisonReport(_Record):
     (eta, f'_numerical, f'_hpm), followed by (theta_numerical, theta_hpm)
     when ``compare`` ran ``with_theta``.  It is an (n, 3) or (n, 5) float64
     ndarray when numpy ran ``compare``, and a list of float 3-tuples when
-    the stdlib did (see ``_format.numpy_for``); theta needs numpy.
+    the stdlib did (see ``_format.loaded_numpy``); theta needs numpy.
     """
 
     __slots__ = ("rows", "max_dev_inside", "dev_at_probe", "probe_eta", "s_numerical",
@@ -124,7 +129,7 @@ def compare(
     if with_theta:
         import numpy  # noqa: F401  theta_profile needs it; loaded now, every column is an array
     eta = grid.points()
-    np = _format.numpy_for(len(eta))
+    np = _format.loaded_numpy()
     f_sum = series.partial_sum("f")
     fprime_series = f_sum.derivative()
     traj = shot.trajectory
@@ -275,7 +280,7 @@ def emit_svg_figure(
         raise ValueError(f"cannot plot fewer than two grid points, got {len(report.rows)}")
     check_y_window(y_window)
     y_lo, y_hi = y_window
-    np = _format.numpy_for(len(report.rows))
+    np = _format.loaded_numpy()
     columns = _columns(report.rows)
     eta = columns[0]
     x_lo, x_hi = float(eta[0]), float(eta[-1])
@@ -288,25 +293,25 @@ def emit_svg_figure(
     def y_px(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    # The x pixels are formatted once per figure, into templates that leave a
-    # %.2f slot for each y: "64.00,%.2f 64.05,%.2f ...".  The stdlib grid is
-    # at most _PURE_MAX_POINTS long, so it is one template; a numpy grid has
-    # one per CHUNK_ROWS points.
+    # The x pixels are formatted once per figure, into one template per
+    # CHUNK_ROWS points with a %.2f slot for each y: "64.00,%.2f 64.05,%.2f ...".
+    # The kernels differ only in computing the pixels into an array('d') or an
+    # ndarray, which hold no float object per point; both format one chunk at a time.
+    starts = range(0, len(eta), CHUNK_ROWS)
     if np is None:
-        x_chunks = [[x_px(x) for x in eta]]
+        xs = array("d", map(x_px, eta))
     else:
         xs = x_px(np.asarray(eta))
-        x_chunks = (xs[start:start + CHUNK_ROWS].tolist()
-                    for start in range(0, len(xs), CHUNK_ROWS))
-    templates = [" ".join(["%.2f,%%.2f"] * len(chunk)) % tuple(chunk) for chunk in x_chunks]
+    templates = [" ".join(["%.2f,%%.2f"] * len(chunk)) % tuple(chunk)
+                 for chunk in (xs[start:start + CHUNK_ROWS].tolist() for start in starts)]
 
-    def polyline_points(values: np.ndarray) -> str:
+    def polyline_points(values: Sequence[float]) -> str:
         if np is None:
-            ys = (min(max(y_px(y), -_Y_PX_LIMIT), _Y_PX_LIMIT) for y in values)
-            return templates[0] % tuple(ys)
-        ys = np.clip(y_px(np.asarray(values)), -_Y_PX_LIMIT, _Y_PX_LIMIT)
+            ys = array("d", (min(max(y_px(y), -_Y_PX_LIMIT), _Y_PX_LIMIT) for y in values))
+        else:
+            ys = np.clip(y_px(np.asarray(values)), -_Y_PX_LIMIT, _Y_PX_LIMIT)
         return " ".join(template % tuple(ys[start:start + CHUNK_ROWS].tolist())
-                        for start, template in zip(range(0, len(ys), CHUNK_ROWS), templates))
+                        for start, template in zip(starts, templates))
 
     x_tick_step = _tick_step(x_hi - x_lo, 1.0 if (x_hi - x_lo) <= 15.0 else 2.0)
     x_ticks = [x_lo + i * x_tick_step for i in range(int((x_hi - x_lo) / x_tick_step) + 1)]

@@ -45,7 +45,8 @@ def fresh_python(tmp_path):
 def fresh_cli(fresh_python):
     """Run ``python -m flatplate *argv`` in a fresh interpreter, in tmp_path.
 
-    That interpreter has not imported numpy, so small arrays go through the
-    stdlib kernels (see ``flatplate._format.numpy_for``).
+    That interpreter has not imported numpy, so the report arrays go through
+    the stdlib kernels unless a grid passes _PURE_MAX_POINTS points (see
+    ``flatplate._format.loaded_numpy``).
     """
     return lambda *argv: fresh_python("-m", "flatplate", *argv)

@@ -22,6 +22,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SERIES_PAST_THE_LIMIT = [("--order", "60", "--domain-length", "1e40"),
+                         ("--order", "25", "--epsilon", "1e-300")]
+L41_PAST_THE_LIMIT = ("--order", "60", "--domain-length", f"{10**40 + 1}/{10**40}")
+
+
 class TestSeriesCommand:
     def test_order_zero_pretty(self, capsys):
         code, out, _ = run(capsys, "series", "--order", "0")
@@ -87,14 +92,19 @@ class TestSeriesCommand:
         assert "Traceback" not in err
         assert not target.exists()
 
-    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    # compare and figure pass the limit in the summary, at str() of the exact
+    # wall slope, at order 60 on an L of 41-digit numerator and denominator
     @pytest.mark.parametrize(
-        "flags",
-        [("--order", "60", "--domain-length", "1e40"), ("--order", "25", "--epsilon", "1e-300")],
+        ("subcommand", "flags", "out_flags"),
+        [*(pytest.param("series", flags, ("--format", fmt, "--out"), id=f"flags{i}-{fmt}")
+           for i, flags in enumerate(SERIES_PAST_THE_LIMIT) for fmt in ("json", "csv", "pretty")),
+         pytest.param("compare", L41_PAST_THE_LIMIT, ("--csv",), id="compare--csv"),
+         pytest.param("figure", L41_PAST_THE_LIMIT, ("--svg",), id="figure--svg")],
     )
-    def test_int_string_limit_names_the_levers(self, capsys, tmp_path, flags, fmt):
+    def test_int_string_limit_names_the_levers(self, capsys, tmp_path, subcommand, flags,
+                                               out_flags):
         target = tmp_path / "P.out"
-        code, out, err = run(capsys, "series", *flags, "--format", fmt, "--out", str(target))
+        code, out, err = run(capsys, subcommand, *flags, *out_flags, str(target))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "4300" in err
         for lever in ("--order", "--domain-length", "--epsilon", "PYTHONINTMAXSTRDIGITS"):

@@ -6,8 +6,9 @@ single byte of these files fails here.  If a change is meant to alter
 them, the new hashes belong in the same change with the reason.
 
 Each output is made twice: in this process, where numpy is loaded and its
-kernels run, and in a fresh interpreter, where the stdlib kernels run for
-arrays of up to ``_PURE_MAX_POINTS`` rows (see ``flatplate._format``).
+kernels run, and in a fresh interpreter, which has not imported numpy, so
+the stdlib kernels run unless a grid passes ``_PURE_MAX_POINTS`` points
+(see ``flatplate._format.loaded_numpy``).
 """
 
 import hashlib
@@ -67,8 +68,8 @@ def test_output_bytes_in_a_fresh_interpreter(fresh_cli, tmp_path, argv, digest):
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
 
 
-# 20 001 states: past _PURE_MAX_POINTS, so in a fresh interpreter the march
-# is stored without numpy and only the CSV writer loads it
+# 20 001 states, past _PURE_MAX_POINTS: in a fresh interpreter the march is
+# stored and written without numpy, which only a grid loads for size
 LONG_TRAJECTORY = ("shoot", "--eta-max", "20", "--trajectory-out")
 LONG_TRAJECTORY_DIGEST = "af95176300f28a64249f0152d2ea7e51c0a67a8afa2308760a3848de8c9e1fff"
 

@@ -1,10 +1,10 @@
 """The stdlib kernels are bit-equal twins of the numpy kernels.
 
-``flatplate._format.numpy_for`` picks the kernel for each report array,
-and ``loaded_numpy`` the one of the CSV writer.  The ``stdlib`` fixture
-makes both pick the stdlib one although numpy is loaded here; every twin test runs both and compares bits or bytes.  The
-stored march has one kernel; ``TestIntegrator`` pins it against the
-numpy store it replaced and pins its divergence scan.
+Every report array picks its kernel by ``flatplate._format.loaded_numpy``.
+The ``stdlib`` fixture makes it pick the stdlib one although numpy is loaded
+here; every twin test runs both and compares bits or bytes.  The stored
+march has one kernel; ``TestIntegrator`` pins it against the numpy store it
+replaced and pins its divergence scan.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from flatplate import _format, report, shooting
-from flatplate._format import CHUNK_ROWS, write_csv
+from flatplate._format import CHUNK_ROWS, _PURE_MAX_POINTS, write_csv
 from flatplate.report import ComparisonReport, Grid, compare, emit_svg_figure
 from flatplate.shooting import DivergenceError, IntegratorSettings, integrate_blasius
 
@@ -31,7 +31,6 @@ def stdlib(monkeypatch):
 
     def use_stdlib(block):
         with monkeypatch.context() as patch:
-            patch.setattr(_format, "numpy_for", lambda rows: None)
             patch.setattr(_format, "loaded_numpy", lambda: None)
             return block()
 
@@ -206,6 +205,31 @@ class TestSvg:
         listed, arrayed = self.reports(random.Random(n), n)
         emit_svg_figure(arrayed, tmp_path / "numpy.svg", y_window=window)
         stdlib(lambda: emit_svg_figure(listed, tmp_path / "stdlib.svg", y_window=window))
+        assert (tmp_path / "stdlib.svg").read_bytes() == (tmp_path / "numpy.svg").read_bytes()
+
+    def test_numpy_free_figure_past_the_stdlib_limit(self, tmp_path, fresh_python):
+        # a list report longer than _PURE_MAX_POINTS, drawn in a process without
+        # numpy: the figure does not load it, and writes the numpy kernel's bytes
+        make_rows = (
+            "import random\n"
+            "rng = random.Random(20_001)\n"
+            "rows = [(i / 1000, rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 4.0))\n"
+            "        for i in range(20_001)]\n"
+        )
+        proc = fresh_python("-c", make_rows + (
+            "import sys\n"
+            "from flatplate.report import ComparisonReport, emit_svg_figure\n"
+            "emit_svg_figure(ComparisonReport(rows, None, None, 10.0, 0.33, 0, 5.0, None),\n"
+            "                'stdlib.svg')\n"
+            "assert 'numpy' not in sys.modules, 'numpy is loaded'\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        namespace = {}
+        exec(make_rows, namespace)
+        assert len(namespace["rows"]) > _PURE_MAX_POINTS
+        arrayed = ComparisonReport(np.array(namespace["rows"]), None, None, 10.0, 0.33, 0, 5.0,
+                                   None)
+        emit_svg_figure(arrayed, tmp_path / "numpy.svg")
         assert (tmp_path / "stdlib.svg").read_bytes() == (tmp_path / "numpy.svg").read_bytes()
 
     @pytest.mark.parametrize("seed", range(5))
