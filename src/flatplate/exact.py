@@ -6,8 +6,16 @@ zero represented uniquely as 0/1.  A polynomial is a sparse map from
 non-negative powers of the similarity variable eta to nonzero coefficients;
 the zero polynomial stores no terms.
 
+Every public constructor checks its input: ``as_rational`` and
+``RationalPolynomial(...)`` accept any rational literal and canonicalize it.
+Only values the engine has just made skip those checks.  ``_reduced`` makes
+a Fraction from a pair that is already coprime with a positive denominator,
+and ``RationalPolynomial._of`` adopts a dict of nonzero canonical Fractions
+keyed by int powers; ``derivative`` and the series engine of
+``flatplate.hpm`` call them, on numbers they have just reduced.
+
 Every value here is immutable, so values may be shared freely across
-threads.  A polynomial caches one derived value, the float table that float
+threads.  A polynomial caches one derived value, the Horner plan that float
 evaluation reads; it is a function of the immutable coefficients, so two
 threads that fill it at once write equal tuples.  Float evaluation, at a
 point, over a list of floats or over a whole float64 grid, is provided for
@@ -24,9 +32,10 @@ report kernels is ``flatplate._format.loaded_numpy``).
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from ._format import CHUNK_ROWS
 
@@ -34,6 +43,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 RationalLike = Union[Fraction, int, str]
+# (lead, runs of (gap, coefficients), last power): see RationalPolynomial._plan
+HornerPlan = tuple[object, tuple[tuple[int, tuple], ...], int]
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """The Fraction num/den of a pair the caller has reduced: gcd(num, den)
+    is 1 and den > 0.  It skips the gcd and the sign check of
+    ``Fraction(num, den)``, so it is for engine-made pairs only; it is the one
+    place that sets Fraction's slots."""
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
 
 
 def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
@@ -64,8 +86,8 @@ class RationalPolynomial:
 
     Terms with coefficient zero are never stored, so equality is plain
     dict equality and the zero polynomial is the empty map.  ``_float_terms``
-    caches the descending (power, float(coeff)) table of ``eval_float``;
-    it takes no part in equality, hashing, display or the series document.
+    caches the float Horner plan of ``eval_float`` (see ``_plan``); it takes
+    no part in equality, hashing, display or the series document.
     """
 
     __slots__ = ("_coeffs", "_float_terms")
@@ -80,7 +102,16 @@ class RationalPolynomial:
             if c:
                 store[power] = c
         self._coeffs = store
-        self._float_terms: tuple[tuple[int, float], ...] | None = None
+        self._float_terms: HornerPlan | None = None
+
+    @classmethod
+    def _of(cls, store: dict[int, Fraction]) -> "RationalPolynomial":
+        """Adopt ``store`` unchecked: int powers >= 0 to nonzero Fractions in
+        canonical form, made by the caller and not shared with anyone."""
+        poly = object.__new__(cls)
+        poly._coeffs = store
+        poly._float_terms = None
+        return poly
 
     # -- structure -----------------------------------------------------------
 
@@ -117,11 +148,18 @@ class RationalPolynomial:
     # -- calculus ------------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "RationalPolynomial":
-        """Exact term-wise derivative, applied ``order`` times."""
-        coeffs = self._coeffs
+        """Exact term-wise derivative, applied ``order`` times.  Each c = n/d
+        is in lowest terms, so gcd(p, d) alone reduces c * p."""
+        coeffs = dict(self._coeffs)
         for _ in range(order):
-            coeffs = {p - 1: c * p for p, c in coeffs.items() if p >= 1}
-        return RationalPolynomial(coeffs)
+            derived = {}
+            for p, c in coeffs.items():
+                if p >= 1:
+                    n, d = c.as_integer_ratio()
+                    g = math.gcd(p, d)
+                    derived[p - 1] = _reduced(n * (p // g), d // g)
+            coeffs = derived
+        return RationalPolynomial._of(coeffs)
 
     def antiderivative(self, order: int = 1) -> "RationalPolynomial":
         """Term-wise antiderivative with zero constant of integration.
@@ -137,28 +175,42 @@ class RationalPolynomial:
     # -- evaluation ----------------------------------------------------------
 
     @staticmethod
-    def _horner(terms: Sequence[tuple[int, Fraction | float]], x):
-        """Sparse Horner over nonempty (power, coeff) pairs in descending
-        power order, each coefficient already of the type of ``x`` (float
-        for a ``_GridPowers``).  ``x ** gap`` is made only when the gap changes
-        (a partial sum steps down by 3), and only the latest power is kept: it
-        is dropped before ``x ** last``, so a grid holds at most three arrays."""
-        terms = iter(terms)
-        last, acc = next(terms)
-        gap = step = None
-        for power, coeff in terms:
+    def _plan(descending: list[tuple[int, object]]) -> HornerPlan:
+        """The sparse Horner plan of nonempty (power, coeff) pairs in
+        descending power order: the leading coefficient, the runs of the
+        later coefficients that share one gap to the power before them, each
+        as (gap, coefficients), and the last power."""
+        pairs = iter(descending)
+        last, lead = next(pairs)
+        runs: list[tuple[int, list]] = []
+        gap = None
+        for power, coeff in pairs:
             if last - power != gap:
-                gap, step = last - power, None  # free the previous power first
-                step = x**gap
-            acc = acc * step + coeff
+                gap = last - power
+                runs.append((gap, []))
+            runs[-1][1].append(coeff)
             last = power
+        return lead, tuple((gap, tuple(coeffs)) for gap, coeffs in runs), last
+
+    @staticmethod
+    def _horner(plan: HornerPlan, x):
+        """Run a plan at ``x``, each coefficient already of the type of ``x``
+        (float for a ``_GridPowers``).  ``x ** gap`` is made once per run,
+        and only the latest power is kept: it is dropped before the next one
+        and before ``x ** last``, so a grid holds at most three arrays."""
+        acc, runs, last = plan
+        for gap, coeffs in runs:
+            step = None  # free the previous power first
+            step = x**gap
+            for coeff in coeffs:
+                acc = acc * step + coeff
         step = None
         return acc * x**last
 
     def eval_exact(self, x: RationalLike) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         terms = sorted(self._coeffs.items(), reverse=True) or [(0, Fraction(0))]
-        return self._horner(terms, as_rational(x))
+        return self._horner(self._plan(terms), as_rational(x))
 
     def eval_float(self, x: float | list | np.ndarray) -> float | list | np.ndarray:
         """Horner evaluation in float64.  Approximate: coefficients round
@@ -168,23 +220,24 @@ class RationalPolynomial:
         point by point to the scalar evaluation (see ``_GridPowers``); a
         list, the grid of the stdlib kernels, gives the list of scalar
         evaluations; any other ``x`` gives a float.  A call raises ``x`` to a
-        new power only where the gap between powers changes (see ``_horner``);
-        the rounded coefficients are made on the first call and reused.
+        new power only where the gap between powers changes (see ``_plan``);
+        the plan, with the rounded coefficients, is made on the first call
+        and reused.
         """
-        terms = self._float_terms
-        if terms is None:
+        plan = self._float_terms
+        if plan is None:
             descending = sorted(self._coeffs.items(), reverse=True)
-            terms = tuple((p, float(c)) for p, c in descending) or ((0, 0.0),)
-            self._float_terms = terms
+            plan = self._plan([(p, float(c)) for p, c in descending] or [(0, 0.0)])
+            self._float_terms = plan
         # no ndarray exists before numpy is imported, so a scalar needs no import
         np = sys.modules.get("numpy")
         if np is not None and isinstance(x, np.ndarray):
             # inf and nan arise silently in the scalar path too
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._horner(terms, _GridPowers(x))
+                return self._horner(plan, _GridPowers(x))
         if isinstance(x, list):
-            return [self._horner(terms, float(v)) for v in x]
-        return self._horner(terms, float(x))
+            return [self._horner(plan, float(v)) for v in x]
+        return self._horner(plan, float(x))
 
     # -- comparisons / display -----------------------------------------------
 

@@ -71,12 +71,12 @@ from operator import mul
 from typing import Sequence
 
 from ._record import _Record
-from .exact import RationalPolynomial, as_rational
+from .exact import RationalPolynomial, _reduced, as_rational
 
 
 # Highest accepted order.  Build time grows about as the cube of the order
-# (on a 2-vCPU host 0.03 s at order 40 and 0.1 s at order 60 for L = 5 and
-# eps = 1; at order 60, 0.6-0.8 s at L = 10^300, most of it placing the
+# (on a 2-vCPU host 0.03 s at order 40 and 0.1-0.15 s at order 60 for L = 5
+# and eps = 1; at order 60, 0.6-0.8 s at L = 10^300, most of it placing the
 # corrections at L, and 3 s at eps = 10^-300), so an unchecked order is an
 # unbounded computation.
 MAX_ORDER = 60
@@ -137,12 +137,15 @@ class HpmSeries(_Record):
         for correction in corrections[: up_to + 1]:
             for power, coeff in correction.terms():
                 by_power.setdefault(power, []).append(coeff)
-        # one Fraction (and one gcd) per power, not one per addition
+        # one gcd per power, not one per addition; a zero sum is dropped
         sums = {}
         for power, coeffs in by_power.items():
             den = math.lcm(*(c.denominator for c in coeffs))
-            sums[power] = Fraction(sum(c.numerator * (den // c.denominator) for c in coeffs), den)
-        return RationalPolynomial(sums)
+            num = sum(c.numerator * (den // c.denominator) for c in coeffs)
+            if num:
+                g = math.gcd(num, den)
+                sums[power] = _reduced(num // g, den // g)
+        return RationalPolynomial._of(sums)
 
 
 # The engine works at L = 1, on a dense integer form of each correction:
@@ -311,16 +314,20 @@ def _coefficients(
 ) -> dict[int, Fraction]:
     """Place the dense order-j correction at L = p/q: the coefficient of
     eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike.  The
-    powers of p and q are read from ``p_powers`` and ``q_powers``.  One
-    Fraction (and one gcd) per coefficient."""
+    powers of p and q are read from ``p_powers`` and ``q_powers``.  One gcd
+    per nonzero coefficient; a zero one is left out."""
     nums, den = correction
     coeffs = {}
     for m, n in enumerate(nums):
+        if not n:
+            continue
         k = 2 * j - 1 - 3 * m
         if k >= 0:
-            coeffs[3 * m + offset] = Fraction(n * p_powers[k], den * q_powers[k])
+            num, d = n * p_powers[k], den * q_powers[k]
         else:
-            coeffs[3 * m + offset] = Fraction(n * q_powers[-k], den * p_powers[-k])
+            num, d = n * q_powers[-k], den * p_powers[-k]
+        g = math.gcd(num, d)
+        coeffs[3 * m + offset] = _reduced(num // g, d // g)
     return coeffs
 
 
@@ -356,11 +363,12 @@ def build_series(config: HpmConfig) -> HpmSeries:
     f_list, theta_list = _unit_corrections(config.order, config.epsilon)
     top = 2 * config.order + 1  # bounds |2j-1-3m| over every coefficient
     powers = _powers(config.L.numerator, top), _powers(config.L.denominator, top)
+    f_coeffs = [_coefficients(j, c, 2, *powers) for j, c in enumerate(f_list)]
     theta_coeffs = [_coefficients(j, c, 1, *powers) for j, c in enumerate(theta_list)]
     theta_coeffs[0][0] = Fraction(1)  # the constant the dense form leaves out
     return HpmSeries(
-        tuple(RationalPolynomial(_coefficients(j, c, 2, *powers)) for j, c in enumerate(f_list)),
-        tuple(RationalPolynomial(c) for c in theta_coeffs),
+        tuple(map(RationalPolynomial._of, f_coeffs)),
+        tuple(map(RationalPolynomial._of, theta_coeffs)),
         config,
     )
 
@@ -374,8 +382,11 @@ def series_to_document(series: HpmSeries) -> dict:
     L, epsilon = series.config.L, series.config.epsilon
 
     def terms(poly: RationalPolynomial) -> list[dict]:
-        return [{"power": p, "num": str(c.numerator), "den": str(c.denominator)}
-                for p, c in poly.terms()]
+        out = []
+        for p, c in poly.terms():
+            num, den = c.as_integer_ratio()
+            out.append({"power": p, "num": str(num), "den": str(den)})
+        return out
 
     return {
         "order": series.order,

@@ -200,10 +200,11 @@ rationals = st.fractions(
 class TestPolynomialProperties:
     @given(polynomials, polynomials)
     def test_results_are_canonical(self, p, q):
-        for result in (p + q, p + q * -1, p * q):
+        for result in (p + q, p + q * -1, p * q, p.derivative(), p.derivative(2)):
             for power, coeff in result.terms():
                 assert coeff != 0
                 assert coeff.denominator > 0
+                assert coeff.as_integer_ratio() == Fraction(*coeff.as_integer_ratio()).as_integer_ratio()
 
     @given(polynomials, polynomials, polynomials)
     @settings(max_examples=60)
@@ -322,6 +323,54 @@ class TestArrayEvalFloat:
         assert scalar_first.eval_float(points).tobytes() == expected
         assert array_first.eval_float(points).tobytes() == expected
         assert scalar_sweep(array_first, xs).tobytes() == expected
+
+
+class TestHornerPlan:
+    """The float plan groups the terms into runs that share one gap.  Where
+    the gap changes, every path must still give the naive Horner's bits."""
+
+    # powers 7, 6, 3, 2, 0: gaps 1, 3, 1, 2
+    GAPS = RationalPolynomial({7: Fraction(-3, 7), 6: Fraction(11, 13), 3: Fraction(5),
+                               2: Fraction(-1, 1000003), 0: Fraction(2, 3)})
+    POINTS = [-2.5, -1.0, -0.0, 0.0, 0.3, 1.7, 5.0, 12.0, float("nan"), float("inf"),
+              float("-inf")]
+
+    @classmethod
+    def case(cls, name):
+        if name == "theta":  # powers 0, 1, 4, 7, ..., 37: the gap goes from 3 to 1
+            return build_series(HpmConfig(order=12)).partial_sum("theta")
+        return cls.GAPS if name == "gaps" else RationalPolynomial()
+
+    @pytest.mark.parametrize("case", ["theta", "gaps", "zero"])
+    def test_every_path_bit_equal_to_the_naive_horner(self, case):
+        poly = self.case(case)
+        expected = reference_path(poly, self.POINTS).tobytes()
+        points = np.array(self.POINTS)
+        for first in ("scalar", "list", "array"):  # the path that makes the plan
+            poly = fresh(poly)
+            paths = {
+                "scalar": lambda: scalar_sweep(poly, self.POINTS),
+                "list": lambda: np.array(poly.eval_float(list(self.POINTS))),
+                "array": lambda: poly.eval_float(points),
+            }
+            for name in (first, *(p for p in paths if p != first)):
+                assert paths[name]().tobytes() == expected, (first, name)
+
+    @pytest.mark.parametrize("case, powers", [("theta", [3, 1, 0]), ("gaps", [1, 3, 1, 2, 0]),
+                                              ("zero", [0])])
+    def test_one_power_per_run(self, case, powers):
+        """x is raised once per run of equal gaps and once to the last power."""
+        made = []
+
+        class Point(float):
+            def __pow__(self, exponent):
+                made.append(exponent)
+                return float(self) ** exponent
+
+        poly = fresh(self.case(case))
+        value = poly.eval_float(1.5)
+        assert RationalPolynomial._horner(poly._float_terms, Point(1.5)) == value
+        assert made == powers
 
 
 @pytest.mark.parametrize("which", ["f", "f'", "theta"])

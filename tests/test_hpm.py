@@ -331,6 +331,68 @@ class TestBuildSeries:
         assert hpm._unit_corrections(order, eps) == recurrence_corrections(order, eps)
 
 
+def assert_canonical(poly, seen):
+    """Every stored coefficient is a nonzero Fraction in lowest terms with a
+    positive denominator, indistinguishable from the Fraction that the public
+    constructor makes of the same pair.  Equality, hash, repr and str are
+    functions of that pair, so they are compared once per pair in ``seen``."""
+    for power, coeff in poly._coeffs.items():
+        assert type(power) is int and power >= 0
+        assert type(coeff) is Fraction
+        num, den = pair = coeff.numerator, coeff.denominator
+        assert type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1 and num != 0
+        if pair not in seen:
+            checked = Fraction(num, den)
+            assert coeff == checked and hash(coeff) == hash(checked)
+            assert repr(coeff) == repr(checked) and str(coeff) == str(checked)
+            seen.add(pair)
+
+
+class TestEngineOutputIsCanonical:
+    """The engine makes its coefficients without Fraction's own checks, so
+    check them here: every correction of every build, and both partial sums
+    with their derivatives."""
+
+    # the lengths and epsilons of the series_ladder benchmark workload
+    LADDER = [(L, eps) for L in (Fraction(5), Fraction(10), Fraction(7, 2), Fraction(11, 2))
+              for eps in (Fraction(1), Fraction(1, 2), Fraction(7, 10))]
+
+    @staticmethod
+    def assert_series_canonical(series, seen):
+        for poly in (*series.f_corrections, *series.theta_corrections):
+            assert_canonical(poly, seen)
+        for which in ("f", "theta"):
+            total = series.partial_sum(which)
+            assert_canonical(total, seen)
+            assert_canonical(total.derivative(), seen)
+
+    @pytest.mark.parametrize("L, eps", LADDER)
+    def test_series_ladder_grid(self, L, eps):
+        seen = set()
+        for order in range(26):
+            self.assert_series_canonical(build_series(HpmConfig(order, L, eps)), seen)
+
+    def test_length_with_a_large_numerator_and_denominator(self):
+        L = Fraction(10**40 + 1, 10**40)
+        self.assert_series_canonical(build_series(HpmConfig(12, L)), set())
+
+    def test_zero_numerators_are_left_out(self):
+        """A dense slot of 0 places no term, as the checked constructor would
+        drop it; order 1 at L = 5/2 has powers eta^2 and eta^5."""
+        powers = hpm._powers(5, 3), hpm._powers(2, 3)
+        placed = hpm._coefficients(1, ([3, 0], 7), 2, *powers)
+        assert placed == {2: Fraction(15, 14)} and type(placed[2]) is Fraction
+        assert_canonical(RationalPolynomial._of(placed), set())
+
+    def test_zero_sums_are_dropped(self):
+        """Opposite corrections sum to no term at all, not to a stored zero."""
+        f1 = build_series(HpmConfig(1)).f_corrections[1]
+        series = HpmSeries((f1, f1 * -1), (f1, f1 * -1), HpmConfig(1))
+        assert series.partial_sum("f") == RationalPolynomial()
+        assert series.partial_sum("f")._coeffs == {}
+
+
 # The dense integer recurrence the engine ran before the closed form, kept as
 # its oracle.  A correction is (numerators of eta^(3m+offset), m = 0..j, one
 # denominator), offset 2 for f and 1 for theta, in lowest terms.
