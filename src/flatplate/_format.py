@@ -6,9 +6,10 @@ The grid, its interpolation, the CSV writer and the figure's pixel maps each
 have two bit-equal kernels, numpy and stdlib.  Every kernel reads one switch,
 ``loaded_numpy``: the numpy kernel runs once the process has imported numpy,
 the stdlib kernel otherwise, so the default ``compare``, ``figure`` and
-``shoot`` runs never load it.  The report layer loads numpy in two places
-only: ``Grid.points`` for a grid longer than _PURE_MAX_POINTS, and
-``compare(with_theta=True)``, for ``theta_profile``.  No writer loads it.
+``shoot`` runs never load it.  The report layer imports numpy in one place
+only, ``Grid.points`` for a grid longer than _PURE_MAX_POINTS;
+``compare(with_theta=True)`` loads it through ``theta_profile``, which
+imports it itself and runs before the grid is made.  No writer loads it.
 """
 
 from __future__ import annotations

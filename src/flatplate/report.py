@@ -12,9 +12,11 @@ The grid, the interpolation of the trajectory on it, the series
 evaluation and the figure's pixel maps each have a numpy kernel and a
 bit-equal stdlib kernel; each reads ``_format.loaded_numpy``, so the default
 ``compare`` and ``figure`` runs never load numpy.  Only a grid longer than
-_PURE_MAX_POINTS (``Grid.points``) and ``with_theta`` (``theta_profile``)
-load it.  The probe lookup, one scalar, and the y ticks, at most _MAX_TICKS
-values, are one stdlib computation on both paths.
+_PURE_MAX_POINTS (``Grid.points``) imports it here; ``with_theta`` loads it
+through ``theta_profile``, which imports it itself and runs before the grid
+is made, so every column of that report is an array.  The probe lookup, one
+scalar, and the y ticks, at most _MAX_TICKS values, are one stdlib
+computation on both paths.
 """
 
 from __future__ import annotations
@@ -126,13 +128,17 @@ def compare(
     """
     if not math.isfinite(probe_eta):
         raise ValueError(f"probe eta must be finite, got {probe_eta!r}")
+    traj = shot.trajectory
     if with_theta:
-        import numpy  # noqa: F401  theta_profile needs it; loaded now, every column is an array
+        epsilon = float(series.config.epsilon)
+        if epsilon == 0.0:  # HpmConfig holds the exact epsilon > 0
+            raise ValueError("epsilon underflows to 0.0 as a float, and theta needs it positive")
+        # theta_profile loads numpy, so every column below is an array
+        profile = theta_profile(traj, epsilon)
     eta = grid.points()
     np = _format.loaded_numpy()
     f_sum = series.partial_sum("f")
     fprime_series = f_sum.derivative()
-    traj = shot.trajectory
     L = float(series.config.L)
     if np is None:
         fprime_num = [_interp(x, traj.eta, traj.fp, 1.0) for x in eta]
@@ -146,7 +152,6 @@ def compare(
         fprime_hpm = fprime_series.eval_float(eta)
         columns = [eta, fprime_num, fprime_hpm]
         if with_theta:
-            profile = theta_profile(traj, float(series.config.epsilon))
             # theta(infinity) = 0, so extrapolate past the trajectory as 0
             columns.append(np.interp(eta, profile[:, 0], profile[:, 1], right=0.0))
             columns.append(series.partial_sum("theta").eval_float(eta))

@@ -49,9 +49,9 @@ from ._record import _Record
 # physical trajectory f'' only decreases from s.
 DIVERGENCE_LIMIT = 1.0e6
 
-# Upper bound on eta_max/step and on the steps of the scaled march.  A stored
-# trajectory peaks at about 32 bytes per step, its columns, plus one chunk of
-# states (tracemalloc: 613 KiB for 12 001 states, 32.2 MB for 10^6).
+# Upper bound on eta_max/step and on the points of a comparison grid.  A
+# stored trajectory peaks at about 32 bytes per step, its columns, plus one
+# chunk of states (tracemalloc: 613 KiB for 12 001 states, 32.2 MB for 10^6).
 MAX_STEPS = 10**6
 
 class ShootingError(Exception):
@@ -186,32 +186,33 @@ def _scaled_root(settings: IntegratorSettings) -> float:
 
     f(eta) = a F(a eta) solves the momentum equation with f''(0) = a^3, so
     f'(eta_max) = 1 becomes (xi/eta_max)^2 F'(xi) = 1 at xi = a eta_max.  The
-    left side grows without bound, so the march ends after about
-    a eta_max / step steps, or at the first step where F' is negative or not
-    finite: there the step is too coarse for RK4 to stay stable.  The root
-    inside the last step is bisected on the cubic Hermite interpolant of F'
-    built from F' and F'' at its two ends.
+    march steps h = step max(1, 1/eta_max)^(1/3) in xi, f at step h/a: from
+    eta_max = 1 up h is the caller's step, and below h/a is never coarser
+    than it, since f'' falls from s, so s eta_max >= 1 and a >= eta_max^(-1/3).
+    The left side grows without bound, so the march ends after about
+    a eta_max / h steps, below 1.34 n on every domain swept (n the caller's
+    step count) and never past 2n, or at the first step where F' is negative
+    or not finite: there the step is too coarse for RK4 to stay stable.  The
+    root inside the last step is bisected on the cubic Hermite interpolant of
+    F' built from F' and F'' at its two ends.
     """
-    eta_max, h = settings.eta_max, settings.step
+    eta_max, budget = settings.eta_max, 2 * _steps(settings)[0]
+    h = settings.step * max(1.0, 1.0 / eta_max) ** (1.0 / 3.0)
     xi, Fp, Fpp = 0.0, 0.0, 1.0
-    for xi1, _, Fp1, Fpp1 in _march(1.0, itertools.repeat(h, MAX_STEPS)):
+    for xi1, _, Fp1, Fpp1 in _march(1.0, itertools.repeat(h, budget)):
         reach = xi1 / eta_max
         if not 0.0 <= reach * reach * Fp1 < 1.0:
             break
         xi, Fp, Fpp = xi1, Fp1, Fpp1
     else:
         raise ConvergenceError(
-            f"the scaled march needs more than {MAX_STEPS} steps at "
-            f"eta_max = {eta_max:g}, step = {h:g}"
+            f"the scaled march needs more than {budget} steps at "
+            f"eta_max = {eta_max:g}, step = {settings.step:g}"
         )
-    if not math.isfinite(Fp1):
-        raise ConvergenceError(
-            f"the scaled march overflowed at xi = {xi1:.6g}; step = {h:g} is too coarse"
-        )
-    if Fp1 < 0.0:
+    if not 0.0 <= Fp1 < math.inf:
         raise ConvergenceError(
             f"the scaled march went unstable (F' = {Fp1:.3g} at xi = {xi1:.6g}); "
-            f"step = {h:g} is too coarse"
+            f"step = {settings.step:g} is too coarse"
         )
 
     def defect(x: float) -> float:

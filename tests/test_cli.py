@@ -178,6 +178,18 @@ class TestShootCommand:
         residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
         assert float(residual.group(1)) <= 1e-8
 
+    @pytest.mark.parametrize("eta_max, step, slope",
+                             [("0.5", "5e-7", "2.0104570"), ("0.001", "1e-8", "1000.0000208")])
+    def test_short_domain_at_the_step_budget_solves(self, capsys, eta_max, step, slope):
+        # eta_max/step is 10^6 and 10^5: the search marches a step that
+        # keeps it within twice the caller's steps, though a = s^(1/3) > 1
+        code, out, err = run(capsys, "shoot", "--eta-max", eta_max, "--step", step,
+                             "--tol", "1e-8")
+        assert code == 0, err
+        assert f"s* = {slope} " in out
+        residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
+        assert float(residual.group(1)) <= 1e-8
+
     def test_invalid_settings_exit_2(self, capsys):
         code, _, err = run(capsys, "shoot", "--step", "0")
         assert code == 2
@@ -315,6 +327,16 @@ class TestCompareCommand:
         assert code == 0
         header = csv_path.read_text().splitlines()[0]
         assert header == "eta,fprime_numerical,fprime_hpm,theta_numerical,theta_hpm"
+
+    def test_with_theta_rejects_epsilon_below_the_float_range(self, capsys, tmp_path):
+        # the exact epsilon is positive, so the series accepts it; theta cannot
+        csv_path = tmp_path / "theta.csv"
+        code, out, err = run(capsys, "compare", "--with-theta", "--epsilon", "1e-400",
+                             "--csv", str(csv_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: epsilon underflows to 0.0 as a float, and theta needs it positive\n"
+        assert not csv_path.exists()
 
     def test_unwritable_csv_path(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "cmp.csv"

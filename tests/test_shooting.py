@@ -7,6 +7,7 @@ integrations and against the literature value of f''(0).
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,46 @@ def bisect_far_boundary(settings, lo=0.1, hi=4.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+SWEEP_ETA_MAX = (1e-6, 1e-3, 0.1, 0.5, 0.99, 1.0, 1.5, 3.0, 10.0)
+SWEEP_RATIOS = (3, 10, 1000)  # eta_max/step
+
+# The fixed-step search: the scaled march at the caller's step on every
+# domain, with a budget of MAX_STEPS (float.hex; None: it raised).  From
+# eta_max = 1 up its s*:
+FIXED_STEP_SEARCH = {
+    (1.0, 3): "0x1.056b24459983dp+0",
+    (1.0, 10): "0x1.056a8bedc40c2p+0",
+    (1.0, 1000): "0x1.056a8a747e815p+0",
+    (1.5, 3): "0x1.65ee8d91c32a8p-1",
+    (1.5, 10): "0x1.65e50ed73d9f6p-1",
+    (1.5, 1000): "0x1.65e4fcf99cab8p-1",
+    (3.0, 3): "0x1.9f35a00550c1ap-2",
+    (3.0, 10): "0x1.9e45244be2a60p-2",
+    (3.0, 1000): "0x1.9e4247827ef95p-2",
+    (10.0, 3): None,  # unstable at xi = 6.67
+    (10.0, 10): None,  # unstable at xi = 7
+    (10.0, 1000): "0x1.5406d6aed0c79p-2",
+}
+# below it the solved s* and its residual:
+FIXED_STEP_SOLVE = {
+    (1e-06, 3): ("0x1.e8480000000b4p+19", 1.1102230246251565e-16),
+    (1e-06, 10): ("0x1.e8480000000b2p+19", 1.1102230246251565e-16),
+    (1e-06, 1000): ("0x1.e84800000005fp+19", 4.218847493575595e-15),
+    (0.001, 3): ("0x1.f40000aec33e4p+9", 0.0),
+    (0.001, 10): ("0x1.f40000aec33e5p+9", 0.0),
+    (0.001, 1000): ("0x1.f40000aec33eep+9", 1.3322676295501878e-15),
+    (0.1, 3): ("0x1.401111c36e75cp+3", 0.0),
+    (0.1, 10): ("0x1.401111be392a8p+3", 2.220446049250313e-16),
+    (0.1, 1000): ("0x1.401111be2bff0p+3", 1.3322676295501878e-15),
+    (0.5, 3): ("0x1.0156b1fc5328cp+1", 1.4692691507889322e-12),
+    (0.5, 10): ("0x1.0156a7d8dde5ep+1", 4.440892098500626e-16),
+    (0.5, 1000): ("0x1.0156a7bf52e21p+1", 8.881784197001252e-16),
+    (0.99, 3): ("0x1.07f2d9a09f8a3p+0", 1.5052403767867872e-11),
+    (0.99, 10): ("0x1.07f23df369b20p+0", 1.7763568394002505e-15),
+    (0.99, 1000): ("0x1.07f23c6f0db38p+0", 1.3322676295501878e-15),
+}
 
 
 class TestSettings:
@@ -257,21 +298,65 @@ class TestShooting:
         assert abs(result.s_star - BOYD_SLOPE) <= 1e-12
 
     def test_march_step_budget(self, monkeypatch):
-        # a short domain needs a long march: xi = a*eta_max with a ~ eta_max**(-1/3)
-        monkeypatch.setattr(shooting, "MAX_STEPS", 10)
-        with pytest.raises(ConvergenceError):
-            solve_shooting(IntegratorSettings(eta_max=1e-3, step=1e-4))
+        # a march whose F' never grows never reaches f'(eta_max) = 1, so the
+        # search gives up after twice the caller's 100 steps
+        states = []
+
+        def flat_march(s, steps):
+            for xi in itertools.accumulate(steps):
+                states.append(xi)
+                yield xi, 0.0, 0.0, 1.0
+
+        monkeypatch.setattr(shooting, "_march", flat_march)
+        with pytest.raises(ConvergenceError, match="needs more than 200 steps"):
+            solve_shooting(IntegratorSettings(eta_max=1e-3, step=1e-5))
+        assert len(states) == 200
 
     def test_overflowing_march_raises(self):
-        with pytest.raises(ConvergenceError, match="overflowed"):
+        with pytest.raises(ConvergenceError, match=r"went unstable \(F' = -inf .*too coarse"):
             solve_shooting(IntegratorSettings(eta_max=1e100, step=1e100))
 
-    def test_unstable_march_stops_at_negative_slope(self, monkeypatch):
+    def test_unstable_march_stops_at_negative_slope(self):
         # at this step the march turns F' negative near xi = 45.5 and would
-        # never reach the far condition, so it must stop there, not at the budget
-        monkeypatch.setattr(shooting, "MAX_STEPS", 2000)
+        # never reach the far condition, so it must stop there, not at its
+        # budget of twice the caller's 1000 steps
         with pytest.raises(ConvergenceError, match="too coarse"):
             solve_shooting(IntegratorSettings(eta_max=100.0, step=0.1))
+
+    @pytest.mark.parametrize("eta_max", SWEEP_ETA_MAX)
+    @pytest.mark.parametrize("ratio", SWEEP_RATIOS)
+    def test_search_sweep(self, monkeypatch, eta_max, ratio):
+        # the search yields at most 2n states of the caller's n; from
+        # eta_max = 1 up it is bit-equal to the fixed-step search, and below
+        # it solves wherever that one did
+        settings = IntegratorSettings(eta_max=eta_max, step=eta_max / ratio)
+        n = shooting._steps(settings)[0]
+        yielded = []
+        march = shooting._march
+
+        def counted(s, steps):
+            yielded.append(0)
+            for state in march(s, steps):
+                yielded[-1] += 1
+                yield state
+
+        monkeypatch.setattr(shooting, "_march", counted)
+        try:
+            search = shooting._scaled_root(settings).hex()
+        except ConvergenceError:
+            search = None
+        assert yielded == [yielded[0]] and yielded[0] <= 2 * n
+        if eta_max >= 1.0:
+            assert search == FIXED_STEP_SEARCH[eta_max, ratio]
+            return
+        result = solve_shooting(settings)
+        assert result.residual <= settings.shoot_tol
+        fixed, fixed_residual = FIXED_STEP_SOLVE[eta_max, ratio]
+        fixed = float.fromhex(fixed)
+        # at eta_max/step = 3 one Newton step leaves the fixed-step solve up
+        # to 1.5e-11 off the far condition; there this root must lie closer
+        assert (abs(result.s_star - fixed) <= 1e-12 * fixed
+                or result.residual < fixed_residual)
 
     @pytest.mark.parametrize("step", [1.0, 2.0])
     def test_too_coarse_step_raises(self, step):
