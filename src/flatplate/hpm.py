@@ -55,7 +55,10 @@ from one table of [lambda^n] z^m, 1 <= m <= n, shared by the process.  The
 table depends on neither L nor eps; it grows on demand to the rows an order
 needs, n <= order + 1, so to at most MAX_ORDER + 2 rows (about 230 KiB),
 at about n^3/6 integer multiply-adds for n rows, once per process.  The
-theta sums cost about order^3/6 in every build.
+corrections at L = 1 are kept too: the f_j, which depend on neither L nor
+eps, and one table of theta weights and theta_j per eps for a few eps.
+So the theta sums, about order^3/6 multiply-adds, run once per (eps,
+order) in a process, and a build at a known eps does only the work of L.
 
 ``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
 dataclasses API works on them, but building a series never loads
@@ -78,7 +81,9 @@ from .exact import RationalPolynomial, _reduced, as_rational
 # (on a 2-vCPU host 0.03 s at order 40 and 0.1-0.15 s at order 60 for L = 5
 # and eps = 1; at order 60, 0.6-0.8 s at L = 10^300, most of it placing the
 # corrections at L, and 3 s at eps = 10^-300), so an unchecked order is an
-# unbounded computation.
+# unbounded computation.  Those are first builds at an eps; a later build
+# at that eps reads the kept corrections and places them at L (0.02 s at
+# order 60 and L = 7/2).
 MAX_ORDER = 60
 
 
@@ -162,26 +167,44 @@ class HpmSeries(_Record):
 # E' = -F E / (2 eps) for E = exp(-Phi/(2 eps)).  So d_k = E_k / ((3k+1)! (2p)^k),
 # and 1/J has the coefficients r_i = R_i / (2p)^i, where R_i are those of the
 # reciprocal of sum_k E_k w^k / (3k+1)!.
-DenseCorrection = tuple[list[int], int]
+DenseCorrection = tuple[tuple[int, ...], int]
 PowerRow = tuple[tuple[int, ...], int]
 Table = tuple[tuple[int, ...], tuple[PowerRow, ...]]  # (-1)^k A_k, rows of powers of z
 # E, R over their denominators, the lcm of the denominators of R_0..R_j for each j, 2p
-ThetaWeights = tuple[list[int], list[tuple[int, int]], list[int], int]
+ThetaWeights = tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...], int]
+ThetaTable = tuple[ThetaWeights, tuple[DenseCorrection, ...]]  # weights, theta_0..theta_n
 
-# The L- and eps-free half of the engine, shared by every build in the
-# process: rows 0..n of the table of powers of z and the signed integers
-# (-1)^k A_k, k < n, that they need.  Row n depends only on the rows below
-# it, so the table does not depend on which builds grew it.  It grows under
-# _growing, to at most MAX_ORDER + 2 rows, and is published by rebinding
-# _table to a new tuple, so a build reads it without the lock and sees a
-# complete table, the old one or the new; a published row is never changed.
+# The L-free half of the engine, shared by every build in the process.
+# Nothing in it depends on which builds grew it, and a published entry is
+# never changed.  Each part grows under _growing and is published by
+# rebinding its global to a new tuple, so a build reads it without the lock
+# and sees a complete part, the old one or the new.
+#
+# _table: rows 0..n of the table of powers of z and the signed integers
+# (-1)^k A_k, k < n, that they need; row n depends only on the rows below
+# it.  Neither L nor eps enters.  At most MAX_ORDER + 2 rows, about 230 KiB.
 _table: Table = ((1,), (((1,), 1), ((0, 1), 1)))
+# _unit_f: f_0..f_n at L = 1, eps-free; f_j is read from row j+1 of _table.
+# At most MAX_ORDER + 1 entries, about 200 KiB.
+_unit_f: tuple[DenseCorrection, ...] = (((1,), 2),)
+# _theta_tables: (eps, table) pairs, most recently used first, at most
+# _THETA_TABLES of them; an evicted eps builds its table anew.  A table
+# holds the weights E, R and their running lcm through order n and
+# theta_0..theta_n at L = 1.  The weights of order n are those of every
+# higher order cut at n, so a table grows from n to m by appending and
+# keeps rows 0..n.  Its size grows with the order and with the digits of
+# eps (E_n carries q^n, R_n carries p^n): at order 25 about 30 KiB for an
+# eps of one or two digits, at MAX_ORDER about 0.25 MiB for such an eps,
+# 1.6 MiB for an eps of 40 digits and 10 MiB at eps = 10^-300, so the
+# tables hold at most _THETA_TABLES times as much.
+_THETA_TABLES = 4
+_theta_tables: tuple[tuple[Fraction, ThetaTable], ...] = ()
 _growing = threading.Lock()
 
 
 def _lowest(nums: list[int], den: int) -> DenseCorrection:
     g = math.gcd(den, *nums)
-    return [n // g for n in nums], den // g
+    return tuple(n // g for n in nums), den // g
 
 
 def _falling(j: int, offset: int) -> list[int]:
@@ -250,51 +273,85 @@ def _grown(table: Table, top: int) -> Table:
     return tuple(signed), tuple(rows)
 
 
-def _theta_weights(order: int, epsilon: Fraction, signed: Sequence[int]) -> ThetaWeights:
-    """E_0..E_order, R_0..R_order (each over its own denominator), the
-    running lcm of the denominators of R, and 2p, as the comment above
-    defines them."""
+def _shared_f(top: int) -> tuple[DenseCorrection, ...]:
+    """The shared f_0..f_top at L = 1 (at least), derived first if missing."""
+    global _unit_f
+    unit_f = _unit_f
+    if len(unit_f) <= top:
+        signed, rows = _shared_table(top + 1)
+        with _growing:
+            unit_f = _unit_f
+            if len(unit_f) <= top:
+                unit_f = _unit_f = unit_f + tuple(
+                    _f_correction(j, rows[j + 1], signed) for j in range(len(unit_f), top + 1))
+    return unit_f
+
+
+def _shared_theta(top: int, epsilon: Fraction) -> tuple[DenseCorrection, ...]:
+    """The shared theta_0..theta_top at L = 1 (at least) for ``epsilon``,
+    derived first if missing.  The table of ``epsilon`` moves to the front
+    of _theta_tables; the least recently used one beyond _THETA_TABLES is
+    dropped."""
+    global _theta_tables
+    tables = _theta_tables
+    if tables and tables[0][0] == epsilon and len(tables[0][1][1]) > top:
+        return tables[0][1][1]
+    signed, rows = _shared_table(top)
+    with _growing:
+        tables = _theta_tables
+        table = next((table for eps, table in tables if eps == epsilon), None)
+        if table is None:  # the weights E_0, R_0, their lcm and 2p, and theta_0
+            table = ((1,), ((1, 1),), (1,), 2 * epsilon.numerator), (((-1,), 1),)
+        if len(table[1]) <= top:
+            table = _grown_theta(table, top, epsilon, signed, rows)
+        others = tuple(entry for entry in tables if entry[0] != epsilon)
+        _theta_tables = ((epsilon, table),) + others[: _THETA_TABLES - 1]
+    return table[1]
+
+
+def _grown_theta(
+    table: ThetaTable, top: int, epsilon: Fraction, signed: Sequence[int], rows: Sequence[PowerRow]
+) -> ThetaTable:
+    """``table`` extended to theta_0..theta_top: the weights E, R and their
+    running lcm through order top, as the comment above defines them, then
+    each new theta_j from row j of the table of powers of z."""
+    (E, reciprocal, commons, two_p), thetas = table
+    E, reciprocal, commons = list(E), list(reciprocal), list(commons)
     p, q = epsilon.numerator, epsilon.denominator
-    signed_p = [s * p**k for k, s in enumerate(signed[:order])]  # (-p)^k A_k
-    E = [1]
-    for n in range(1, order + 1):
+    signed_p = [s * p**k for k, s in enumerate(signed[:top])]  # (-p)^k A_k
+    for n in range(len(E), top + 1):
         E.append(-q * sum(math.comb(3 * n - 1, 3 * k + 2) * signed_p[k] * E[n - 1 - k]
                           for k in range(n)))
-    factorial = [math.factorial(3 * k + 1) for k in range(order + 1)]  # (3k+1)!
-    reciprocal, commons = [(1, 1)], [1]
-    for i in range(1, order + 1):
+    factorial = [math.factorial(3 * k + 1) for k in range(top + 1)]  # (3k+1)!
+    for i in range(len(reciprocal), top + 1):
         dens = [factorial[k] * reciprocal[i - k][1] for k in range(1, i + 1)]
         den = math.lcm(*dens)
         num = -sum(E[k] * reciprocal[i - k][0] * (den // d) for k, d in enumerate(dens, 1))
         g = math.gcd(num, den)
         reciprocal.append((num // g, den // g))
         commons.append(math.lcm(commons[-1], den // g))
-    return E, reciprocal, commons, 2 * p
+    weights = tuple(E), tuple(reciprocal), tuple(commons), two_p
+    return weights, thetas + tuple(
+        _theta_correction(j, rows[j], weights) for j in range(len(thetas), top + 1))
 
 
-def recurrence_step_f(j: int, powers: PowerRow, signed: Sequence[int]) -> DenseCorrection:
-    """Order-j momentum correction at L = 1, read from ``powers``, row j+1 of
-    the table of powers of z: slot k is c_k [lambda^(j+1)] z^(k+1), with
-    c_k = signed[k] / (2^k (3k+2)!).
-
-    The name is that of the convolution recurrence step this reader
-    replaced: bench/tracer.py times it by name (span hpm.recurrence_f), so
-    it is called once per order j >= 1.
-    """
+def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> DenseCorrection:
+    """Order-j momentum correction at L = 1 from ``powers``, row j+1 of the
+    table of powers of z: slot k is c_k [lambda^(j+1)] z^(k+1), with
+    c_k = signed[k] / (2^k (3k+2)!)."""
     nums, den = powers
     falling = _falling(j, 2)
     return _lowest([signed[k] * w * nums[k + 1] << (j - k) for k, w in enumerate(falling)],
                    2 * falling[0] * den << j)
 
 
-def recurrence_step_theta(j: int, powers: PowerRow, weights: ThetaWeights) -> DenseCorrection:
-    """Order-j temperature correction at L = 1, read from ``powers``, row j
-    of the table of powers of z: slot k is -d_k sum_i r_i [lambda^j] z^(k+i).
+def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights) -> DenseCorrection:
+    """Order-j temperature correction at L = 1 from ``powers``, row j of
+    the table of powers of z: slot k is -d_k sum_i r_i [lambda^j] z^(k+i).
 
-    With the weights of ``_theta_weights``, slot k is -E_k / ((3k+1)! (2p)^j)
-    times sum_i R_i (2p)^(j-k-i) [lambda^j] z^(k+i), so each entry of the
-    row is scaled once by its power of 2p.  The name is kept for the same
-    reason as that of ``recurrence_step_f`` (span hpm.recurrence_theta).
+    With ``weights`` as ``_grown_theta`` makes them, slot k is
+    -E_k / ((3k+1)! (2p)^j) times sum_i R_i (2p)^(j-k-i) [lambda^j] z^(k+i),
+    so each entry of the row is scaled once by its power of 2p.
     """
     nums, den = powers
     E, reciprocal, commons, two_p = weights
@@ -307,6 +364,27 @@ def recurrence_step_theta(j: int, powers: PowerRow, weights: ThetaWeights) -> De
     falling = _falling(j, 1)
     return _lowest([-E[k] * w * sum(map(mul, rho, scaled[k:])) for k, w in enumerate(falling)],
                    falling[0] * power * common * den)
+
+
+def recurrence_step_f(j: int, unit_f: Sequence[DenseCorrection]) -> DenseCorrection:
+    """Order-j momentum correction at L = 1, read from ``unit_f``, the
+    shared f tuple (see ``_f_correction`` for how it is derived).
+
+    The name is that of the convolution recurrence step this reader
+    replaced: bench/tracer.py times it by name (span hpm.recurrence_f), and
+    a traced run needs the same counts in every round, so every build calls
+    it once per order j >= 1, however warm the shared tuple is.
+    """
+    return unit_f[j]
+
+
+def recurrence_step_theta(j: int, thetas: Sequence[DenseCorrection]) -> DenseCorrection:
+    """Order-j temperature correction at L = 1, read from ``thetas``, the
+    shared theta table of one eps (see ``_theta_correction``).  The name is
+    kept, and called once per order, for the same reason as that of
+    ``recurrence_step_f`` (span hpm.recurrence_theta).
+    """
+    return thetas[j]
 
 
 def _coefficients(
@@ -341,25 +419,29 @@ def _powers(base: int, top: int) -> list[int]:
 
 def _unit_corrections(
     order: int, epsilon: Fraction
-) -> tuple[list[DenseCorrection], list[DenseCorrection]]:
-    """The dense f and theta corrections 0..order at L = 1: the L-free half of a build.
+) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
+    """The dense f and theta corrections 0..order at L = 1: the L-free half
+    of a build, as fresh lists the caller may change.
 
     Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  Every later order is
-    read from the shared table of the powers of z(lambda), grown first if
-    it is shorter than this order needs.
+    read from the shared f tuple and the shared theta table of ``epsilon``,
+    each derived first up to this order if it is shorter, through its
+    ``recurrence_step_*`` reader, once per order.
     """
-    signed, rows = _shared_table(order + 1)
-    weights = _theta_weights(order, epsilon, signed)
+    unit_f, thetas = _shared_f(order), _shared_theta(order, epsilon)
     f_list, theta_list = [([1], 2)], [([-1], 1)]
     for j in range(1, order + 1):
-        theta_list.append(recurrence_step_theta(j, rows[j], weights))
-        f_list.append(recurrence_step_f(j, rows[j + 1], signed))
+        nums, den = recurrence_step_theta(j, thetas)
+        theta_list.append((list(nums), den))
+        nums, den = recurrence_step_f(j, unit_f)
+        f_list.append((list(nums), den))
     return f_list, theta_list
 
 
 def build_series(config: HpmConfig) -> HpmSeries:
-    """Construct all corrections 0..config.order at L = 1, then place each at L
-    as a RationalPolynomial by the scaling law.  Deterministic and exact."""
+    """Read corrections 0..config.order at L = 1 (see ``_unit_corrections``),
+    then place each at L as a RationalPolynomial by the scaling law.
+    Deterministic and exact, whatever builds came before."""
     f_list, theta_list = _unit_corrections(config.order, config.epsilon)
     top = 2 * config.order + 1  # bounds |2j-1-3m| over every coefficient
     powers = _powers(config.L.numerator, top), _powers(config.L.denominator, top)

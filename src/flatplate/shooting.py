@@ -111,7 +111,8 @@ class Trajectory(_Record):
 class ShootingResult(_Record):
     __slots__ = ("s_star", "trajectory", "residual", "iterations")
 
-    # iterations: the RK4 passes the search for s* made, the march and one integration
+    # iterations: the RK4 passes the search for s* made: the march and one
+    # integration, and the first stored trajectory when a second Newton step follows
     def __init__(self, s_star: float, trajectory: Trajectory, residual: float, iterations: int):
         super().__init__(s_star, trajectory, residual, iterations)
 
@@ -235,33 +236,46 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     return (mid / eta_max) ** 3
 
 
+def _newton(s: float, fp_end: float, fpp_end: float, settings: IntegratorSettings) -> float:
+    """One Newton step on g(s) = f'(eta_max; s) - 1 from the end state of a
+    march at s, with g'(s) = (2 f'(eta_max) + eta_max f''(eta_max)) / (3 s)
+    from the scaling."""
+    slope = (2.0 * fp_end + settings.eta_max * fpp_end) / (3.0 * s)
+    if not (math.isfinite(fp_end) and slope > 0.0):
+        raise ConvergenceError(
+            f"g'(s) = {slope:.3g} at s = {s:.6g} is not positive; "
+            f"step = {settings.step:g} is too coarse"
+        )
+    return s - (fp_end - 1.0) / slope
+
+
 def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> ShootingResult:
     """Find s = f''(0) such that f'(eta_max) = 1.
 
     One scaled march (see ``_scaled_root``) gives s* up to the O(step^4)
     gap between its step and the caller's.  One integration at that s, with
-    nothing stored, and one Newton step on g(s) = f'(eta_max; s) - 1 close
-    the gap, with g'(s) = (2 f'(eta_max) + eta_max f''(eta_max)) / (3 s)
-    from the scaling; one more integration gives the trajectory and the
-    residual.  No initial guess is needed, so short domains such as
+    nothing stored, and one Newton step (see ``_newton``) close the gap;
+    one more integration gives the trajectory and the residual.  On a very
+    coarse grid that residual can still exceed shoot_tol; then one more
+    Newton step from the trajectory's end state and one more integration
+    follow.  No initial guess is needed, so short domains such as
     eta_max = 0.5 are solved like long ones.
     """
     s_star = _scaled_root(settings)
     _, _, fp_end, fpp_end = deque(_march(s_star, _steps(settings)[1]), maxlen=1).pop()
-    slope = (2.0 * fp_end + settings.eta_max * fpp_end) / (3.0 * s_star)
-    if not (math.isfinite(fp_end) and slope > 0.0):
-        raise ConvergenceError(
-            f"g'(s) = {slope:.3g} at s = {s_star:.6g} is not positive; "
-            f"step = {settings.step:g} is too coarse"
-        )
-    s_star -= (fp_end - 1.0) / slope
+    s_star = _newton(s_star, fp_end, fpp_end, settings)
     trajectory = integrate_blasius(s_star, settings)
-    residual = abs(float(trajectory.fp[-1]) - 1.0)
+    residual, passes = abs(float(trajectory.fp[-1]) - 1.0), 2
+    if residual > settings.shoot_tol:
+        s_star = _newton(s_star, trajectory.fp[-1], trajectory.fpp[-1], settings)
+        trajectory = integrate_blasius(s_star, settings)
+        residual, passes = abs(float(trajectory.fp[-1]) - 1.0), 3
     if residual > settings.shoot_tol:
         raise ConvergenceError(
             f"far-boundary residual {residual:.3g} exceeds shoot_tol {settings.shoot_tol:.3g}"
         )
-    return ShootingResult(s_star=s_star, trajectory=trajectory, residual=residual, iterations=2)
+    return ShootingResult(s_star=s_star, trajectory=trajectory, residual=residual,
+                          iterations=passes)
 
 
 def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
@@ -279,7 +293,10 @@ def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:
     eta, f = np.asarray(trajectory.eta), np.asarray(trajectory.f)
     d_eta = np.diff(eta)
     inner = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * d_eta)])
-    weight = np.exp(-inner / (2.0 * epsilon))
+    # at a tiny epsilon the exponent overflows to -inf, and exp gives 0, the
+    # exact limit of the weight
+    with np.errstate(over="ignore"):
+        weight = np.exp(-inner / (2.0 * epsilon))
     outer = np.concatenate([[0.0], np.cumsum(0.5 * (weight[1:] + weight[:-1]) * d_eta)])
     theta = 1.0 - outer / outer[-1]
     return np.column_stack([eta, theta])

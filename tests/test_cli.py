@@ -190,6 +190,16 @@ class TestShootCommand:
         residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
         assert float(residual.group(1)) <= 1e-8
 
+    @pytest.mark.parametrize("eta_max, step, slope",
+                             [("3", "1", "0.4047844"), ("0.999", "0.999", "1.0227267")])
+    def test_coarse_grid_takes_a_second_newton_step(self, capsys, eta_max, step, slope):
+        # one Newton step leaves residuals of about 1.7e-6 and 7e-8 here
+        code, out, err = run(capsys, "shoot", "--eta-max", eta_max, "--step", step)
+        assert code == 0, err
+        assert f"s* = {slope} " in out and "search passes = 3" in out
+        residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
+        assert float(residual.group(1)) <= 1e-8
+
     def test_invalid_settings_exit_2(self, capsys):
         code, _, err = run(capsys, "shoot", "--step", "0")
         assert code == 2
@@ -208,7 +218,8 @@ class TestShootCommand:
 
     @pytest.mark.parametrize("sub", ["shoot", "compare"])
     def test_solver_failure_exit_3_with_one_line(self, capsys, sub):
-        # the solver's residual at eta_max = 3 is about 2.6e-15
+        # the solver's residual at eta_max = 3 is about 2.6e-15 after one Newton
+        # step and 2.2e-16 after the second
         code, out, err = run(capsys, sub, "--eta-max", "3", "--tol", "1e-300")
         assert (code, out) == (3, "")
         assert err.startswith("shooting failed: far-boundary residual") and err.count("\n") == 1
@@ -337,6 +348,15 @@ class TestCompareCommand:
         assert out == ""
         assert err == "error: epsilon underflows to 0.0 as a float, and theta needs it positive\n"
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("epsilon", ["1e-308", "1e-320"])
+    def test_tiny_epsilon_warns_nothing(self, fresh_python, epsilon):
+        # -inner / (2 epsilon) overflows to -inf; numpy must not warn about it
+        proc = fresh_python("-W", "error", "-m", "flatplate", "compare", "--with-theta",
+                            "--epsilon", epsilon, "--csv", "theta.csv")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_unwritable_csv_path(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "cmp.csv"

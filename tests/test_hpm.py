@@ -14,6 +14,9 @@ import json
 import math
 import pickle
 import re
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -516,6 +519,42 @@ def test_benchmark_tracer_still_sees_the_engine():
         assert {name: metrics.get(name) for name in names} == dict(zip(names, (5, 5, 1)))
 
 
+def test_benchmark_tracer_sees_each_reader_once_per_order_at_a_warm_epsilon():
+    """The f tuple and the theta table of an eps are kept across builds, so a
+    build at a new L finds every correction ready; it must still call each
+    reader once per order, in every round of a traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
+    eps = Fraction(7, 10)
+    hpm.build_series(HpmConfig(order=12, epsilon=eps))
+    for L in (Fraction(10), Fraction(7, 2)):
+        tracer = tracer_module.Tracer()
+        with tracer.installed():
+            hpm.build_series(HpmConfig(order=12, L=L, epsilon=eps))
+        metrics = tracer.metrics()
+        assert {name: metrics.get(name) for name in names} == dict(zip(names, (12, 12, 1)))
+
+
+def test_traced_series_ladder_run_has_no_failed_op(tmp_path):
+    """A traced run replays the same ops in every round and fails an op whose
+    per-layer counts differ from round 0, so a memo that skips a reader on a
+    warm build shows here.  The run works on a copy of src/ and bench/."""
+    root = Path(__file__).resolve().parents[1]
+    for part in ("src", "bench"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "series_ladder", "--seed", "1",
+         "--seconds", "2", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0, result
+
+
 # Scripts for a fresh interpreter, whose shared table starts cold.  Each
 # ``cold()`` loads its own copy of the hpm module, so every build it serves
 # starts from the two seed rows without an interpreter per build.
@@ -528,7 +567,8 @@ def cold():
     spec = importlib.util.spec_from_file_location("flatplate._cold_hpm", hpm.__file__)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert len(module._table[1]) == 2
+    assert len(module._table[1]) == 2 and len(module._unit_f) == 1
+    assert module._theta_tables == ()
     return module
 
 def document(module, order, L, eps):
@@ -606,6 +646,112 @@ print(json.dumps([sizes, kept]))
 """
         rows = [5, 5, 14, MAX_ORDER + 2, MAX_ORDER + 2, MAX_ORDER + 2]
         assert run_fresh(fresh_python, script) == [[[n, n - 1] for n in rows], [True] * 6]
+
+
+class TestSharedCorrections:
+    """The f corrections at L = 1 and one theta table per eps are shared by
+    every build in a process, grow on demand and hold at most a few eps; no
+    document may depend on how they grew or what was evicted."""
+
+    def test_documents_do_not_depend_on_the_builds_before(self, fresh_python):
+        """Orders 3, 12 and 25 with eps interleaved grow three theta tables
+        3 -> 12 -> 25; a copy grown straight to 25 and a cold copy per build
+        give the same documents, and the rows a table had are kept."""
+        script = """
+epsilons = (1, Fraction(1, 7), Fraction(7, 10))
+configs = [(order, L, eps) for order in (3, 12, 25) for L in (5, Fraction(7, 2))
+           for eps in epsilons]
+interleaved, kept, rows = cold(), [], {}
+grown = []
+for config in configs:
+    grown.append(document(interleaved, *config))
+    for eps, (_, thetas) in interleaved._theta_tables:
+        kept.append(all(new is old for new, old in zip(thetas, rows.get(eps, ()))))
+        rows[eps] = thetas
+straight = cold()
+for eps in epsilons:
+    document(straight, 25, 5, eps)
+after = [document(straight, *config) for config in configs]
+from_cold = [document(cold(), *config) for config in configs]
+lengths = sorted(len(thetas) for _, (_, thetas) in interleaved._theta_tables)
+print(json.dumps([grown == from_cold, after == from_cold, len(configs), all(kept), lengths,
+                  len(interleaved._unit_f)]))
+"""
+        assert run_fresh(fresh_python, script) == [True, True, 18, True, [26, 26, 26], 26]
+
+    def test_threads_growing_one_theta_table_build_the_serial_documents(self, fresh_python):
+        script = """
+import sys, threading
+eps = Fraction(1, 7)
+jobs = [[(60, 5, eps), (3, 7, eps), (25, Fraction(7, 2), eps)],
+        [(12, 10, eps), (40, 5, eps), (0, 5, eps)],
+        [(40, Fraction(11, 2), eps), (1, 5, eps), (60, 10**20, eps)],
+        [(25, 5, eps), (18, 10, eps), (7, Fraction(1, 3), eps)]]
+documents, barrier = {}, threading.Barrier(len(jobs), timeout=60)
+
+def work(configs):
+    barrier.wait()
+    for config in configs:
+        documents[config] = document(hpm, *config)
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)
+try:
+    threads = [threading.Thread(target=work, args=(configs,)) for configs in jobs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+finally:
+    sys.setswitchinterval(interval)
+serial = cold()
+same = [documents.get(config) == document(serial, *config)
+        for configs in jobs for config in configs]
+print(json.dumps([any(thread.is_alive() for thread in threads), same.count(True), len(same),
+                  [[str(e), len(thetas)] for e, (_, thetas) in hpm._theta_tables],
+                  len(hpm._unit_f)]))
+"""
+        expected = [False, 12, 12, [["1/7", MAX_ORDER + 1]], MAX_ORDER + 1]
+        assert run_fresh(fresh_python, script) == expected
+
+    def test_at_most_the_cap_of_theta_tables_is_held(self, fresh_python):
+        """Builds at cap + 3 distinct eps keep the cap most recently used
+        tables, most recent first; an evicted eps is built anew, and its
+        document is the cold one."""
+        script = """
+cap = hpm._THETA_TABLES
+epsilons = [Fraction(1, k) for k in range(1, cap + 4)]
+sizes = []
+for eps in epsilons:
+    document(hpm, 12, 5, eps)
+    sizes.append(len(hpm._theta_tables))
+held = [eps for eps, _ in hpm._theta_tables]
+evicted = epsilons[0]
+again = document(hpm, 12, Fraction(7, 2), evicted)
+print(json.dumps([cap, sizes, held == epsilons[::-1][:cap],
+                  again == document(cold(), 12, Fraction(7, 2), evicted),
+                  hpm._theta_tables[0][0] == evicted, len(hpm._theta_tables)]))
+"""
+        cap, sizes, *checks = run_fresh(fresh_python, script)
+        assert 1 <= cap and sizes == [min(n, cap) for n in range(1, cap + 4)]
+        assert checks == [True, True, True, cap]
+
+    def test_a_caller_cannot_change_a_later_build(self, fresh_python):
+        """``_unit_corrections`` returns fresh lists: changing them, their
+        pairs or their numerators leaves the shared corrections as they were."""
+        script = """
+eps = Fraction(7, 10)
+f_list, theta_list = hpm._unit_corrections(12, eps)
+f_list[3][0][0] += 1
+theta_list[5][0].clear()
+theta_list[0][0].append(7)
+f_list[7] = ([1], 1)
+theta_list.append(([1], 1))
+f_again, theta_again = hpm._unit_corrections(12, eps)
+print(json.dumps([document(hpm, 12, 5, eps) == document(cold(), 12, 5, eps),
+                  (f_again, theta_again) == cold()._unit_corrections(12, eps)]))
+"""
+        assert run_fresh(fresh_python, script) == [True, True]
 
 
 @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
