@@ -79,11 +79,11 @@ from .exact import RationalPolynomial, _reduced, as_rational
 
 # Highest accepted order.  Build time grows about as the cube of the order
 # (on a 2-vCPU host 0.03 s at order 40 and 0.1-0.15 s at order 60 for L = 5
-# and eps = 1; at order 60, 0.6-0.8 s at L = 10^300, most of it placing the
-# corrections at L, and 3 s at eps = 10^-300), so an unchecked order is an
-# unbounded computation.  Those are first builds at an eps; a later build
-# at that eps reads the kept corrections and places them at L (0.02 s at
-# order 60 and L = 7/2).
+# and eps = 1; at order 60, 0.55-0.6 s at L = 10^300, two thirds of it
+# placing the corrections at L, and 2-2.3 s at eps = 10^-300), so an
+# unchecked order is an unbounded computation.  Those are first builds at
+# an eps; a later build at that eps reads the kept corrections and places
+# them at L (0.01 s at order 60 and L = 7/2).
 MAX_ORDER = 60
 
 
@@ -153,58 +153,68 @@ class HpmSeries(_Record):
         return RationalPolynomial._of(sums)
 
 
-# The engine works at L = 1, on a dense integer form of each correction:
-# numerators n[0..j] of the powers eta^(3m+offset) over one positive
-# denominator, in lowest terms, with offset 2 for f_j and 1 for theta_j (the
-# constant 1 of theta_0 is left out).  A row of the table of powers of z is
-# held the same way, the numerators of [lambda^n] z^m, m = 0..n, over one
-# denominator, so a row or a correction costs one gcd, not one per
-# operation.  L enters once, in _coefficients, by the scaling law, so the
-# integers of the engine do not grow with the digits of L.
+# The engine works at L = 1.  The table of powers of z is dense: row n holds
+# the numerators of [lambda^n] z^m, m = 0..n, over one positive denominator,
+# so a row costs one gcd, not one per operation.  A correction is derived
+# the same way, numerators n[0..j] of the powers eta^(3m+offset) over one
+# denominator, with offset 2 for f_j and 1 for theta_j (the constant 1 of
+# theta_0 is left out), and then kept slot by slot in lowest terms: a
+# tuple of coprime pairs (a_m, b_m), b_m > 0, with (0, 1) for a zero slot.
+# L enters once, in _coefficients, by the scaling law, so the integers of
+# the engine do not grow with the digits of L; and since gcd(a_m, b_m) = 1
+# and L = p/q is in lowest terms, placing a slot at L takes two gcds of a
+# small power of p or q against a_m or b_m, never one of the two products.
 #
 # The theta weights are integers too.  With eps = p/q, e_k = E_k / ((3k)! (2p)^k)
 # where E_0 = 1 and E_n = -q sum_{k<n} C(3n-1, 3k+2) (-p)^k A_k E_(n-1-k), from
 # E' = -F E / (2 eps) for E = exp(-Phi/(2 eps)).  So d_k = E_k / ((3k+1)! (2p)^k),
 # and 1/J has the coefficients r_i = R_i / (2p)^i, where R_i are those of the
 # reciprocal of sum_k E_k w^k / (3k+1)!.
-DenseCorrection = tuple[tuple[int, ...], int]
+Correction = tuple[tuple[int, int], ...]  # (a_m, b_m) in lowest terms, slot m = 0..j
 PowerRow = tuple[tuple[int, ...], int]
 Table = tuple[tuple[int, ...], tuple[PowerRow, ...]]  # (-1)^k A_k, rows of powers of z
 # E, R over their denominators, the lcm of the denominators of R_0..R_j for each j, 2p
 ThetaWeights = tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...], int]
-ThetaTable = tuple[ThetaWeights, tuple[DenseCorrection, ...]]  # weights, theta_0..theta_n
+ThetaTable = tuple[ThetaWeights, tuple[Correction, ...]]  # weights, theta_0..theta_n
 
 # The L-free half of the engine, shared by every build in the process.
 # Nothing in it depends on which builds grew it, and a published entry is
-# never changed.  Each part grows under _growing and is published by
-# rebinding its global to a new tuple, so a build reads it without the lock
-# and sees a complete part, the old one or the new.
+# never changed.  Each part is published by rebinding its global to a new
+# tuple under _growing, so a build reads it without the lock and sees a
+# complete part, the old one or the new.  _table and _unit_f also grow under
+# _growing; a theta table grows outside it, from a snapshot, so a build at a
+# known eps never waits for another eps to grow.
 #
 # _table: rows 0..n of the table of powers of z and the signed integers
 # (-1)^k A_k, k < n, that they need; row n depends only on the rows below
 # it.  Neither L nor eps enters.  At most MAX_ORDER + 2 rows, about 230 KiB.
 _table: Table = ((1,), (((1,), 1), ((0, 1), 1)))
 # _unit_f: f_0..f_n at L = 1, eps-free; f_j is read from row j+1 of _table.
-# At most MAX_ORDER + 1 entries, about 200 KiB.
-_unit_f: tuple[DenseCorrection, ...] = (((1,), 2),)
+# At most MAX_ORDER + 1 entries, about 470 KiB.
+_unit_f: tuple[Correction, ...] = (((1, 2),),)
 # _theta_tables: (eps, table) pairs, most recently used first, at most
 # _THETA_TABLES of them; an evicted eps builds its table anew.  A table
 # holds the weights E, R and their running lcm through order n and
 # theta_0..theta_n at L = 1.  The weights of order n are those of every
 # higher order cut at n, so a table grows from n to m by appending and
 # keeps rows 0..n.  Its size grows with the order and with the digits of
-# eps (E_n carries q^n, R_n carries p^n): at order 25 about 30 KiB for an
-# eps of one or two digits, at MAX_ORDER about 0.25 MiB for such an eps,
-# 1.6 MiB for an eps of 40 digits and 10 MiB at eps = 10^-300, so the
-# tables hold at most _THETA_TABLES times as much.
+# eps (E_n carries q^n, R_n carries p^n): at order 25 about 65 KiB for an
+# eps of one or two digits, at MAX_ORDER about 0.5 MiB for such an eps,
+# 3 MiB for an eps of 40 digits and 10.4 MiB at eps = 10^-300 (there the
+# weights are most of it), so the tables hold at most _THETA_TABLES times
+# as much.
 _THETA_TABLES = 4
 _theta_tables: tuple[tuple[Fraction, ThetaTable], ...] = ()
 _growing = threading.Lock()
 
 
-def _lowest(nums: list[int], den: int) -> DenseCorrection:
-    g = math.gcd(den, *nums)
-    return tuple(n // g for n in nums), den // g
+def _lowest(nums: list[int], den: int) -> Correction:
+    """nums[m]/den for each slot m, in lowest terms; a zero slot is (0, 1)."""
+    slots = []
+    for n in nums:
+        g = math.gcd(n, den)
+        slots.append((n // g, den // g))
+    return tuple(slots)
 
 
 def _falling(j: int, offset: int) -> list[int]:
@@ -273,7 +283,7 @@ def _grown(table: Table, top: int) -> Table:
     return tuple(signed), tuple(rows)
 
 
-def _shared_f(top: int) -> tuple[DenseCorrection, ...]:
+def _shared_f(top: int) -> tuple[Correction, ...]:
     """The shared f_0..f_top at L = 1 (at least), derived first if missing."""
     global _unit_f
     unit_f = _unit_f
@@ -287,23 +297,32 @@ def _shared_f(top: int) -> tuple[DenseCorrection, ...]:
     return unit_f
 
 
-def _shared_theta(top: int, epsilon: Fraction) -> tuple[DenseCorrection, ...]:
+def _shared_theta(top: int, epsilon: Fraction) -> tuple[Correction, ...]:
     """The shared theta_0..theta_top at L = 1 (at least) for ``epsilon``,
     derived first if missing.  The table of ``epsilon`` moves to the front
     of _theta_tables; the least recently used one beyond _THETA_TABLES is
-    dropped."""
+    dropped.
+
+    A missing part is grown outside _growing, from the table as this build
+    found it; under the lock the longer of that and the table now held for
+    ``epsilon`` is published, so two builds that grow one eps at once
+    publish rows of equal value.
+    """
     global _theta_tables
     tables = _theta_tables
     if tables and tables[0][0] == epsilon and len(tables[0][1][1]) > top:
         return tables[0][1][1]
-    signed, rows = _shared_table(top)
+    table = next((table for eps, table in tables if eps == epsilon), None)
+    if table is None:  # the weights E_0, R_0, their lcm and 2p, and theta_0
+        table = ((1,), ((1, 1),), (1,), 2 * epsilon.numerator), (((-1, 1),),)
+    if len(table[1]) <= top:
+        signed, rows = _shared_table(top)
+        table = _grown_theta(table, top, epsilon, signed, rows)
     with _growing:
         tables = _theta_tables
-        table = next((table for eps, table in tables if eps == epsilon), None)
-        if table is None:  # the weights E_0, R_0, their lcm and 2p, and theta_0
-            table = ((1,), ((1, 1),), (1,), 2 * epsilon.numerator), (((-1,), 1),)
-        if len(table[1]) <= top:
-            table = _grown_theta(table, top, epsilon, signed, rows)
+        held = next((held for eps, held in tables if eps == epsilon), None)
+        if held is not None and len(held[1]) >= len(table[1]):
+            table = held
         others = tuple(entry for entry in tables if entry[0] != epsilon)
         _theta_tables = ((epsilon, table),) + others[: _THETA_TABLES - 1]
     return table[1]
@@ -335,7 +354,7 @@ def _grown_theta(
         _theta_correction(j, rows[j], weights) for j in range(len(thetas), top + 1))
 
 
-def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> DenseCorrection:
+def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> Correction:
     """Order-j momentum correction at L = 1 from ``powers``, row j+1 of the
     table of powers of z: slot k is c_k [lambda^(j+1)] z^(k+1), with
     c_k = signed[k] / (2^k (3k+2)!)."""
@@ -345,7 +364,7 @@ def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> DenseCorre
                    2 * falling[0] * den << j)
 
 
-def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights) -> DenseCorrection:
+def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights) -> Correction:
     """Order-j temperature correction at L = 1 from ``powers``, row j of
     the table of powers of z: slot k is -d_k sum_i r_i [lambda^j] z^(k+i).
 
@@ -366,7 +385,7 @@ def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights) -> DenseC
                    falling[0] * power * common * den)
 
 
-def recurrence_step_f(j: int, unit_f: Sequence[DenseCorrection]) -> DenseCorrection:
+def recurrence_step_f(j: int, unit_f: Sequence[Correction]) -> Correction:
     """Order-j momentum correction at L = 1, read from ``unit_f``, the
     shared f tuple (see ``_f_correction`` for how it is derived).
 
@@ -378,7 +397,7 @@ def recurrence_step_f(j: int, unit_f: Sequence[DenseCorrection]) -> DenseCorrect
     return unit_f[j]
 
 
-def recurrence_step_theta(j: int, thetas: Sequence[DenseCorrection]) -> DenseCorrection:
+def recurrence_step_theta(j: int, thetas: Sequence[Correction]) -> Correction:
     """Order-j temperature correction at L = 1, read from ``thetas``, the
     shared theta table of one eps (see ``_theta_correction``).  The name is
     kept, and called once per order, for the same reason as that of
@@ -388,24 +407,30 @@ def recurrence_step_theta(j: int, thetas: Sequence[DenseCorrection]) -> DenseCor
 
 
 def _coefficients(
-    j: int, correction: DenseCorrection, offset: int, p_powers: list[int], q_powers: list[int]
+    j: int, correction: Correction, offset: int, p_powers: list[int], q_powers: list[int]
 ) -> dict[int, Fraction]:
-    """Place the dense order-j correction at L = p/q: the coefficient of
-    eta^(3m+offset) scales by L^(2j-1-3m), for f and theta alike.  The
-    powers of p and q are read from ``p_powers`` and ``q_powers``.  One gcd
-    per nonzero coefficient; a zero one is left out."""
-    nums, den = correction
+    """Place the order-j correction at L = p/q: slot m, the coefficient a/b
+    of eta^(3m+offset), scales by L^(2j-1-3m), for f and theta alike.  The
+    powers of p and q are read from ``p_powers`` and ``q_powers``.
+
+    With P/Q that power of L, gcd(a P, b Q) = gcd(a, Q) gcd(P, b), since
+    gcd(a, b) = gcd(P, Q) = 1; so each small factor is divided out before
+    the product is made, and a gcd against a power of 1 (Q at an integer L,
+    P at L = 1/n) is skipped.  A zero slot is left out.
+    """
     coeffs = {}
-    for m, n in enumerate(nums):
-        if not n:
-            continue
-        k = 2 * j - 1 - 3 * m
-        if k >= 0:
-            num, d = n * p_powers[k], den * q_powers[k]
-        else:
-            num, d = n * q_powers[-k], den * p_powers[-k]
-        g = math.gcd(num, d)
-        coeffs[3 * m + offset] = _reduced(num // g, d // g)
+    k = 2 * j - 1
+    for m, (a, b) in enumerate(correction):
+        if a:
+            up, down = (p_powers[k], q_powers[k]) if k >= 0 else (q_powers[-k], p_powers[-k])
+            if down != 1:
+                g = math.gcd(a, down)
+                a, down = a // g, down // g
+            if up != 1:
+                g = math.gcd(up, b)
+                up, b = up // g, b // g
+            coeffs[3 * m + offset] = _reduced(a * up, b * down)
+        k -= 3
     return coeffs
 
 
@@ -417,11 +442,9 @@ def _powers(base: int, top: int) -> list[int]:
     return powers
 
 
-def _unit_corrections(
-    order: int, epsilon: Fraction
-) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
-    """The dense f and theta corrections 0..order at L = 1: the L-free half
-    of a build, as fresh lists the caller may change.
+def _unit_corrections(order: int, epsilon: Fraction) -> tuple[list[Correction], list[Correction]]:
+    """The f and theta corrections 0..order at L = 1: the L-free half of a
+    build, as fresh lists of the shared, immutable corrections.
 
     Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  Every later order is
     read from the shared f tuple and the shared theta table of ``epsilon``,
@@ -429,12 +452,10 @@ def _unit_corrections(
     ``recurrence_step_*`` reader, once per order.
     """
     unit_f, thetas = _shared_f(order), _shared_theta(order, epsilon)
-    f_list, theta_list = [([1], 2)], [([-1], 1)]
+    f_list, theta_list = [unit_f[0]], [thetas[0]]
     for j in range(1, order + 1):
-        nums, den = recurrence_step_theta(j, thetas)
-        theta_list.append((list(nums), den))
-        nums, den = recurrence_step_f(j, unit_f)
-        f_list.append((list(nums), den))
+        theta_list.append(recurrence_step_theta(j, thetas))
+        f_list.append(recurrence_step_f(j, unit_f))
     return f_list, theta_list
 
 
@@ -447,7 +468,7 @@ def build_series(config: HpmConfig) -> HpmSeries:
     powers = _powers(config.L.numerator, top), _powers(config.L.denominator, top)
     f_coeffs = [_coefficients(j, c, 2, *powers) for j, c in enumerate(f_list)]
     theta_coeffs = [_coefficients(j, c, 1, *powers) for j, c in enumerate(theta_list)]
-    theta_coeffs[0][0] = Fraction(1)  # the constant the dense form leaves out
+    theta_coeffs[0][0] = Fraction(1)  # the constant the kept form leaves out
     return HpmSeries(
         tuple(map(RationalPolynomial._of, f_coeffs)),
         tuple(map(RationalPolynomial._of, theta_coeffs)),

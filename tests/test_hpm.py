@@ -319,7 +319,7 @@ class TestBuildSeries:
         for j in range(1, 41):
             theta_list.append(rederiving_step(j, f_list, theta_list, 1, Fraction(-1, 2) / eps))
             f_list.append(rederiving_step(j, f_list, f_list, 2, Fraction(-1, 2)))
-        assert hpm._unit_corrections(40, eps) == (f_list, theta_list)
+        assert hpm._unit_corrections(40, eps) == slotwise_lists(f_list, theta_list)
 
     @pytest.mark.parametrize(
         "order, eps",
@@ -329,9 +329,36 @@ class TestBuildSeries:
     )
     def test_unit_corrections_match_the_recurrence(self, order, eps):
         """The closed form and the convolution recurrence give the same
-        integers, down to the common denominator of each correction, also at
-        MAX_ORDER and at an epsilon 40 orders of magnitude from 1 either way."""
-        assert hpm._unit_corrections(order, eps) == recurrence_corrections(order, eps)
+        integers, down to the lowest terms of each slot, also at MAX_ORDER
+        and at an epsilon 40 orders of magnitude from 1 either way."""
+        expected = slotwise_lists(*recurrence_corrections(order, eps))
+        assert hpm._unit_corrections(order, eps) == expected
+
+    @pytest.mark.parametrize(
+        "L", [Fraction(1, 6), Fraction(10**300), Fraction(10**40 + 1, 10**40),
+              Fraction(7, 2), Fraction(2, 3)])
+    @pytest.mark.parametrize(
+        "order, eps", [(25, Fraction(1)), (25, Fraction(1, 7)), (60, Fraction(7, 10))])
+    def test_placing_a_slot_at_L_is_fraction_arithmetic(self, L, order, eps):
+        """Slot m of correction j, a/b at L = 1, is placed at L as
+        a L^(2j-1-3m) / b.  Every j >= 1 has slots with either sign of that
+        power; L = 1/6 and L = 10^300 each skip one of the two gcds the
+        engine takes, and the other lengths take both."""
+        f_list, theta_list = hpm._unit_corrections(order, eps)
+        series = build_series(HpmConfig(order, L, eps))
+        for offset, slots, placed in ((2, f_list, series.f_corrections),
+                                      (1, theta_list, series.theta_corrections)):
+            for j, (correction, poly) in enumerate(zip(slots, placed)):
+                expected = {3 * m + offset: Fraction(a) * L ** (2 * j - 1 - 3 * m) / b
+                            for m, (a, b) in enumerate(correction) if a}
+                if offset == 1 and j == 0:
+                    expected[0] = Fraction(1)
+                got = dict(poly.terms())
+                assert got.keys() == expected.keys(), (offset, j)
+                for power, value in expected.items():
+                    coeff = got[power]
+                    assert (coeff.numerator, coeff.denominator) == value.as_integer_ratio(), \
+                        (offset, j, power)
 
 
 def assert_canonical(poly, seen):
@@ -377,14 +404,21 @@ class TestEngineOutputIsCanonical:
             self.assert_series_canonical(build_series(HpmConfig(order, L, eps)), seen)
 
     def test_length_with_a_large_numerator_and_denominator(self):
-        L = Fraction(10**40 + 1, 10**40)
-        self.assert_series_canonical(build_series(HpmConfig(12, L)), set())
+        L, seen = Fraction(10**40 + 1, 10**40), set()
+        for order in range(26):
+            self.assert_series_canonical(build_series(HpmConfig(order, L)), seen)
+
+    def test_length_of_one_over_an_integer(self):
+        """At L = 1/6 every power of L has numerator 1."""
+        seen = set()
+        for order in range(26):
+            self.assert_series_canonical(build_series(HpmConfig(order, Fraction(1, 6))), seen)
 
     def test_zero_numerators_are_left_out(self):
-        """A dense slot of 0 places no term, as the checked constructor would
-        drop it; order 1 at L = 5/2 has powers eta^2 and eta^5."""
+        """A slot of 0 places no term, as the checked constructor would drop
+        it; order 1 at L = 5/2 has powers eta^2 and eta^5."""
         powers = hpm._powers(5, 3), hpm._powers(2, 3)
-        placed = hpm._coefficients(1, ([3, 0], 7), 2, *powers)
+        placed = hpm._coefficients(1, ((3, 7), (0, 1)), 2, *powers)
         assert placed == {2: Fraction(15, 14)} and type(placed[2]) is Fraction
         assert_canonical(RationalPolynomial._of(placed), set())
 
@@ -399,6 +433,19 @@ class TestEngineOutputIsCanonical:
 # The dense integer recurrence the engine ran before the closed form, kept as
 # its oracle.  A correction is (numerators of eta^(3m+offset), m = 0..j, one
 # denominator), offset 2 for f and 1 for theta, in lowest terms.
+
+
+def slotwise(nums, den):
+    """The dense correction ``nums`` over ``den`` slot by slot: the numerator
+    and denominator of each Fraction(n, den), so (0, 1) for a zero slot.  A
+    dense correction in lowest terms and this form determine each other."""
+    return tuple((c.numerator, c.denominator) for c in (Fraction(n, den) for n in nums))
+
+
+def slotwise_lists(f_list, theta_list):
+    """Dense f and theta correction lists slot by slot, as ``_unit_corrections``
+    returns them."""
+    return [slotwise(*c) for c in f_list], [slotwise(*c) for c in theta_list]
 
 
 def convolve(left, right):
@@ -496,8 +543,9 @@ def test_wall_slopes_match_the_lagrange_inversion():
     (ROADMAP item 2).  Blasius's series and z here share no code with hpm."""
     z = lagrange_z(27)
     f_list, _ = hpm._unit_corrections(25, Fraction(1))
-    for j, (nums, den) in enumerate(f_list):
-        assert Fraction(nums[0], den) == z[j + 1] / 2, j
+    for j, slots in enumerate(f_list):
+        wall = z[j + 1] / 2
+        assert slots[:1] == slotwise([wall.numerator], wall.denominator), j
 
 
 def test_benchmark_tracer_still_sees_the_engine():
@@ -737,21 +785,74 @@ print(json.dumps([cap, sizes, held == epsilons[::-1][:cap],
         assert checks == [True, True, True, cap]
 
     def test_a_caller_cannot_change_a_later_build(self, fresh_python):
-        """``_unit_corrections`` returns fresh lists: changing them, their
-        pairs or their numerators leaves the shared corrections as they were."""
+        """``_unit_corrections`` returns fresh lists of immutable corrections:
+        changing the lists leaves the shared corrections as they were, and a
+        correction or its slots cannot be changed at all."""
         script = """
 eps = Fraction(7, 10)
 f_list, theta_list = hpm._unit_corrections(12, eps)
-f_list[3][0][0] += 1
-theta_list[5][0].clear()
-theta_list[0][0].append(7)
-f_list[7] = ([1], 1)
-theta_list.append(([1], 1))
+immutable = all(type(c) is tuple and all(type(slot) is tuple and len(slot) == 2
+                                         and all(type(x) is int for x in slot) for slot in c)
+                for c in f_list + theta_list)
+refused = 0
+for target, value in ((f_list[3], (1, 1)), (theta_list[5][1], 7)):
+    try:
+        target[0] = value
+    except TypeError:
+        refused += 1
+f_list[7] = ((1, 1),)
+theta_list[5] = ()
+theta_list.append(((1, 1),))
+del f_list[2]
 f_again, theta_again = hpm._unit_corrections(12, eps)
-print(json.dumps([document(hpm, 12, 5, eps) == document(cold(), 12, 5, eps),
+print(json.dumps([immutable, refused,
+                  document(hpm, 12, 5, eps) == document(cold(), 12, 5, eps),
                   (f_again, theta_again) == cold()._unit_corrections(12, eps)]))
 """
-        assert run_fresh(fresh_python, script) == [True, True]
+        assert run_fresh(fresh_python, script) == [True, 2, True, True]
+
+    def test_a_build_at_a_known_epsilon_does_not_wait_for_another_to_grow(
+            self, fresh_python):
+        """A theta table grows outside the lock.  Thread A's growth of a new
+        eps is held inside ``_grown_theta`` until released; meanwhile a build
+        at a known eps whose table is not the most recently used must still
+        finish, and both documents are the cold ones."""
+        script = """
+import threading
+document(hpm, 12, 5, 1)
+document(hpm, 12, 5, Fraction(1, 2))  # eps = 1 is now not the most recent
+entered, release = threading.Event(), threading.Event()
+grown = hpm._grown_theta
+
+def held_growth(*args):
+    entered.set()
+    release.wait(60)
+    return grown(*args)
+
+hpm._grown_theta = held_growth
+documents = {}
+
+def build(config):
+    documents[config] = document(hpm, *config)
+
+growing = threading.Thread(target=build, args=((12, 5, Fraction(1, 3)),))
+known = threading.Thread(target=build, args=((12, 7, 1),))
+growing.start()
+held = entered.wait(60)
+known.start()
+known.join(timeout=30)
+finished_while_held = not known.is_alive() and not release.is_set()
+release.set()
+growing.join(timeout=60)
+known.join(timeout=60)
+serial = cold()
+print(json.dumps([held, finished_while_held, growing.is_alive(), known.is_alive(),
+                  [documents.get(c) == document(serial, *c)
+                   for c in ((12, 5, Fraction(1, 3)), (12, 7, 1))],
+                  [str(eps) for eps, _ in hpm._theta_tables]]))
+"""
+        expected = [True, True, False, False, [True, True], ["1/3", "1", "1/2"]]
+        assert run_fresh(fresh_python, script) == expected
 
 
 @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
