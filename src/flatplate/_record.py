@@ -20,7 +20,7 @@ load in the process that calls one of those functions, and no other.
 
 from __future__ import annotations
 
-import sys
+from ._format import loaded_numpy
 
 
 class _DataclassFields:
@@ -56,7 +56,7 @@ def _field_equal(a, b) -> bool:
     before ``==``, which raises on shapes that cannot broadcast."""
     if a is b:
         return True
-    np = sys.modules.get("numpy")  # no ndarray exists before numpy is loaded
+    np = loaded_numpy()  # no ndarray exists before numpy is loaded
     if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
     return bool(a == b)

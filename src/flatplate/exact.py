@@ -23,21 +23,20 @@ plotting and comparison only; the rational path is the source of truth.
 The module holds arithmetic, evaluation and display only: the exact JSON
 form of the coefficients is the series document of ``flatplate.hpm``.
 
-This module never imports numpy: ``eval_float`` finds it in ``sys.modules``
-when it is given an array, and the list form serves the stdlib kernels,
-which run in a process that has not loaded numpy (the one switch of the
-report kernels is ``flatplate._format.loaded_numpy``).
+This module never imports numpy: ``eval_float`` looks for an array only
+once ``flatplate._format.loaded_numpy``, the one switch of the report
+kernels, finds numpy loaded, and the list form serves the stdlib kernels,
+which run in a process that has not loaded numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from ._format import CHUNK_ROWS
+from ._format import CHUNK_ROWS, loaded_numpy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -230,7 +229,7 @@ class RationalPolynomial:
             plan = self._plan([(p, float(c)) for p, c in descending] or [(0, 0.0)])
             self._float_terms = plan
         # no ndarray exists before numpy is imported, so a scalar needs no import
-        np = sys.modules.get("numpy")
+        np = loaded_numpy()
         if np is not None and isinstance(x, np.ndarray):
             # inf and nan arise silently in the scalar path too
             with np.errstate(over="ignore", invalid="ignore"):

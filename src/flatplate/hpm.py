@@ -50,15 +50,15 @@ J(w) = sum_k d_k w^k, the corrections at L = 1 are, for k = 0..j,
     f_j:      coefficient of eta^(3k+2) = c_k [lambda^(j+1)] z^(k+1)
     theta_j:  coefficient of eta^(3k+1) = -d_k [lambda^j] z^k / J(z)
 
-and theta_0 has the constant 1 besides.  Every build reads its corrections
-from one table of [lambda^n] z^m, 1 <= m <= n, shared by the process.  The
-table depends on neither L nor eps; it grows on demand to the rows an order
-needs, n <= order + 1, so to at most MAX_ORDER + 2 rows (about 230 KiB),
-at about n^3/6 integer multiply-adds for n rows, once per process.  The
-corrections at L = 1 are kept too: the f_j, which depend on neither L nor
-eps, and one table of theta weights and theta_j per eps for a few eps.
-So the theta sums, about order^3/6 multiply-adds, run once per (eps,
-order) in a process, and a build at a known eps does only the work of L.
+and theta_0 has the constant 1 besides.  The process keeps the L-free half
+of every build in two parts.  One table holds [lambda^n] z^m, 1 <= m <= n,
+and the f_j read from it, which depend on neither L nor eps; it grows on
+demand to the rows an order needs, n <= order + 1, so to at most
+MAX_ORDER + 2 rows, at about n^3/6 integer multiply-adds for n rows, once
+per process.  Beside it, a table of theta weights and theta_j is kept for
+each of the few eps grown last.  So the theta sums, about order^3/6
+multiply-adds, run once per (eps, order) in a process; a build at a known
+eps does only the work of L, and a build that finds its rows takes no lock.
 
 ``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
 dataclasses API works on them, but building a series never loads
@@ -78,12 +78,12 @@ from .exact import RationalPolynomial, _reduced, as_rational
 
 
 # Highest accepted order.  Build time grows about as the cube of the order
-# (on a 2-vCPU host 0.03 s at order 40 and 0.1-0.15 s at order 60 for L = 5
-# and eps = 1; at order 60, 0.55-0.6 s at L = 10^300, two thirds of it
-# placing the corrections at L, and 2-2.3 s at eps = 10^-300), so an
-# unchecked order is an unbounded computation.  Those are first builds at
-# an eps; a later build at that eps reads the kept corrections and places
-# them at L (0.01 s at order 60 and L = 7/2).
+# (on a 2-vCPU host, pinned to one CPU, 0.03 s at order 40 and 0.11-0.14 s
+# at order 60 for L = 5 and eps = 1; at order 60, 0.55-0.58 s at L = 10^300,
+# 0.44 s of it placing the corrections at L, and 2.0-2.4 s at
+# eps = 10^-300), so an unchecked order is an unbounded computation.  Those
+# are first builds at an eps; a later build at that eps reads the kept
+# corrections and places them at L (0.011 s at order 60 and L = 7/2).
 MAX_ORDER = 60
 
 
@@ -172,39 +172,38 @@ class HpmSeries(_Record):
 # reciprocal of sum_k E_k w^k / (3k+1)!.
 Correction = tuple[tuple[int, int], ...]  # (a_m, b_m) in lowest terms, slot m = 0..j
 PowerRow = tuple[tuple[int, ...], int]
-Table = tuple[tuple[int, ...], tuple[PowerRow, ...]]  # (-1)^k A_k, rows of powers of z
-# E, R over their denominators, the lcm of the denominators of R_0..R_j for each j, 2p
-ThetaWeights = tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...], int]
+# (-1)^k A_k, rows 0..n of powers of z, and f_0..f_(n-1) at L = 1
+Table = tuple[tuple[int, ...], tuple[PowerRow, ...], tuple[Correction, ...]]
+ThetaWeights = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # E, R over their denominators
 ThetaTable = tuple[ThetaWeights, tuple[Correction, ...]]  # weights, theta_0..theta_n
 
-# The L-free half of the engine, shared by every build in the process.
-# Nothing in it depends on which builds grew it, and a published entry is
-# never changed.  Each part is published by rebinding its global to a new
-# tuple under _growing, so a build reads it without the lock and sees a
-# complete part, the old one or the new.  _table and _unit_f also grow under
-# _growing; a theta table grows outside it, from a snapshot, so a build at a
-# known eps never waits for another eps to grow.
+# The L-free half of the engine, shared by every build in the process, in
+# two parts.  Nothing in it depends on which builds grew it, and a published
+# entry is never changed.  Each part is published by rebinding its global
+# under _growing, so a build reads it without the lock and sees a complete
+# part, the old one or the new; a build that finds the rows it needs takes
+# no lock.  _table grows under _growing; a theta table grows outside it,
+# from a snapshot, so a build at a known eps never waits for another to grow.
 #
-# _table: rows 0..n of the table of powers of z and the signed integers
-# (-1)^k A_k, k < n, that they need; row n depends only on the rows below
-# it.  Neither L nor eps enters.  At most MAX_ORDER + 2 rows, about 230 KiB.
-_table: Table = ((1,), (((1,), 1), ((0, 1), 1)))
-# _unit_f: f_0..f_n at L = 1, eps-free; f_j is read from row j+1 of _table.
-# At most MAX_ORDER + 1 entries, about 470 KiB.
-_unit_f: tuple[Correction, ...] = (((1, 2),),)
-# _theta_tables: (eps, table) pairs, most recently used first, at most
-# _THETA_TABLES of them; an evicted eps builds its table anew.  A table
-# holds the weights E, R and their running lcm through order n and
-# theta_0..theta_n at L = 1.  The weights of order n are those of every
-# higher order cut at n, so a table grows from n to m by appending and
-# keeps rows 0..n.  Its size grows with the order and with the digits of
-# eps (E_n carries q^n, R_n carries p^n): at order 25 about 65 KiB for an
-# eps of one or two digits, at MAX_ORDER about 0.5 MiB for such an eps,
-# 3 MiB for an eps of 40 digits and 10.4 MiB at eps = 10^-300 (there the
-# weights are most of it), so the tables hold at most _THETA_TABLES times
-# as much.
+# _table: rows 0..n of the table of powers of z, the signed integers
+# (-1)^k A_k, k < n, that they need, and f_0..f_(n-1) at L = 1, since f_j
+# is read from row j+1.  Row n depends only on the rows below it.  Neither
+# L nor eps enters.  At most MAX_ORDER + 2 rows, about 230 KiB, and
+# MAX_ORDER + 1 f corrections, about 470 KiB.
+_table: Table = ((1,), (((1,), 1), ((0, 1), 1)), (((1, 2),),))
+# _theta_tables: eps -> table, oldest growth first, at most _THETA_TABLES
+# of them; growing a table makes it the newest, and the table grown longest
+# ago is evicted beyond the cap (an evicted eps builds its table anew).  A
+# table holds the weights E, R through order n and theta_0..theta_n at
+# L = 1.  The weights of order n are those of every higher order cut at n,
+# so a table grows from n to m by appending and keeps rows 0..n.  Its size
+# grows with the order and with the digits of eps (E_n carries q^n, R_n
+# carries p^n): at order 25 about 63 KiB for an eps of one or two digits,
+# at MAX_ORDER about 0.5 MiB for such an eps, 3.1 MiB for an eps of 40
+# digits and 10.4 MiB at eps = 10^-300 (the weights are 0.5 MiB of it), so
+# the tables hold at most _THETA_TABLES times as much.
 _THETA_TABLES = 4
-_theta_tables: tuple[tuple[Fraction, ThetaTable], ...] = ()
+_theta_tables: dict[Fraction, ThetaTable] = {}
 _growing = threading.Lock()
 
 
@@ -227,7 +226,8 @@ def _falling(j: int, offset: int) -> list[int]:
 
 
 def _shared_table(top: int) -> Table:
-    """The shared table with at least rows 0..top, grown first if it is shorter."""
+    """The shared table with at least rows 0..top (and so f_0..f_(top-1)),
+    grown first if it is shorter."""
     global _table
     table = _table
     if len(table[1]) <= top:
@@ -239,10 +239,11 @@ def _shared_table(top: int) -> Table:
 
 
 def _grown(table: Table, top: int) -> Table:
-    """``table`` extended to rows 0..top.  Row n holds [lambda^n] z^m for
-    m = 0..n over one denominator, where z(lambda) solves z G(z) = lambda
-    and G has the coefficients g_k = signed[k] / (2^k (3k+1)!), with
-    signed[k] = (-1)^k A_k.
+    """``table`` extended to rows 0..top and f_0..f_(top-1).  Row n holds
+    [lambda^n] z^m for m = 0..n over one denominator, where z(lambda)
+    solves z G(z) = lambda and G has the coefficients
+    g_k = signed[k] / (2^k (3k+1)!), with signed[k] = (-1)^k A_k; f_(n-1)
+    is read from row n as soon as it is made (see ``_f_correction``).
 
     Blasius's integers come first: signed[k] = -sum_(a<k) C(3k-1, 3a+2)
     signed[a] signed[k-1-a].  Degree n is then built after the degrees
@@ -253,7 +254,7 @@ def _grown(table: Table, top: int) -> Table:
     degrees a and n-a, so each product pair is rescaled once, on its factor
     z_(n-a).
     """
-    signed, rows = list(table[0]), list(table[1])
+    signed, rows, unit_f = map(list, table)
     columns = [[nums[m] for nums, _ in rows[m:]] for m in range(len(rows))]  # [m][n-m]
     for n in range(len(rows), top + 1):
         k = n - 1  # row n is the first to need signed[n-1]
@@ -277,65 +278,49 @@ def _grown(table: Table, top: int) -> Table:
             nums = [x * scale for x in nums]
         nums[1] = z_num * (degree_den // z_den)
         rows.append((tuple(nums), degree_den))
+        unit_f.append(_f_correction(n - 1, rows[n], signed))
         columns.append([])
         for m in range(n + 1):
             columns[m].append(nums[m])
-    return tuple(signed), tuple(rows)
-
-
-def _shared_f(top: int) -> tuple[Correction, ...]:
-    """The shared f_0..f_top at L = 1 (at least), derived first if missing."""
-    global _unit_f
-    unit_f = _unit_f
-    if len(unit_f) <= top:
-        signed, rows = _shared_table(top + 1)
-        with _growing:
-            unit_f = _unit_f
-            if len(unit_f) <= top:
-                unit_f = _unit_f = unit_f + tuple(
-                    _f_correction(j, rows[j + 1], signed) for j in range(len(unit_f), top + 1))
-    return unit_f
+    return tuple(signed), tuple(rows), tuple(unit_f)
 
 
 def _shared_theta(top: int, epsilon: Fraction) -> tuple[Correction, ...]:
     """The shared theta_0..theta_top at L = 1 (at least) for ``epsilon``,
-    derived first if missing.  The table of ``epsilon`` moves to the front
-    of _theta_tables; the least recently used one beyond _THETA_TABLES is
-    dropped.
+    derived first if missing.  A table long enough is returned as found.
 
     A missing part is grown outside _growing, from the table as this build
     found it; under the lock the longer of that and the table now held for
-    ``epsilon`` is published, so two builds that grow one eps at once
-    publish rows of equal value.
+    ``epsilon`` is published as the newest entry, so two builds that grow
+    one eps at once publish rows of equal value.  Each of them grows the
+    whole part, though: no workload builds from threads, and a per-eps
+    marker for the others to wait on would be a third kind of kept state.
     """
     global _theta_tables
-    tables = _theta_tables
-    if tables and tables[0][0] == epsilon and len(tables[0][1][1]) > top:
-        return tables[0][1][1]
-    table = next((table for eps, table in tables if eps == epsilon), None)
-    if table is None:  # the weights E_0, R_0, their lcm and 2p, and theta_0
-        table = ((1,), ((1, 1),), (1,), 2 * epsilon.numerator), (((-1, 1),),)
-    if len(table[1]) <= top:
-        signed, rows = _shared_table(top)
-        table = _grown_theta(table, top, epsilon, signed, rows)
+    table = _theta_tables.get(epsilon)
+    if table is not None and len(table[1]) > top:
+        return table[1]
+    if table is None:  # the weights E_0 and R_0, and theta_0
+        table = ((1,), ((1, 1),)), (((-1, 1),),)
+    signed, rows, _ = _shared_table(top)
+    table = _grown_theta(table, top, epsilon, signed, rows)
     with _growing:
-        tables = _theta_tables
-        held = next((held for eps, held in tables if eps == epsilon), None)
+        held = _theta_tables.get(epsilon)
         if held is not None and len(held[1]) >= len(table[1]):
             table = held
-        others = tuple(entry for entry in tables if entry[0] != epsilon)
-        _theta_tables = ((epsilon, table),) + others[: _THETA_TABLES - 1]
+        others = [(eps, kept) for eps, kept in _theta_tables.items() if eps != epsilon]
+        _theta_tables = dict([*others, (epsilon, table)][-_THETA_TABLES:])
     return table[1]
 
 
 def _grown_theta(
     table: ThetaTable, top: int, epsilon: Fraction, signed: Sequence[int], rows: Sequence[PowerRow]
 ) -> ThetaTable:
-    """``table`` extended to theta_0..theta_top: the weights E, R and their
-    running lcm through order top, as the comment above defines them, then
-    each new theta_j from row j of the table of powers of z."""
-    (E, reciprocal, commons, two_p), thetas = table
-    E, reciprocal, commons = list(E), list(reciprocal), list(commons)
+    """``table`` extended to theta_0..theta_top: the weights E, R through
+    order top, as the comment above defines them, then each new theta_j
+    from row j of the table of powers of z."""
+    (E, reciprocal), thetas = table
+    E, reciprocal = list(E), list(reciprocal)
     p, q = epsilon.numerator, epsilon.denominator
     signed_p = [s * p**k for k, s in enumerate(signed[:top])]  # (-p)^k A_k
     for n in range(len(E), top + 1):
@@ -348,10 +333,9 @@ def _grown_theta(
         num = -sum(E[k] * reciprocal[i - k][0] * (den // d) for k, d in enumerate(dens, 1))
         g = math.gcd(num, den)
         reciprocal.append((num // g, den // g))
-        commons.append(math.lcm(commons[-1], den // g))
-    weights = tuple(E), tuple(reciprocal), tuple(commons), two_p
-    return weights, thetas + tuple(
-        _theta_correction(j, rows[j], weights) for j in range(len(thetas), top + 1))
+    weights = tuple(E), tuple(reciprocal)
+    return weights, thetas + tuple(_theta_correction(j, rows[j], weights, 2 * p)
+                                   for j in range(len(thetas), top + 1))
 
 
 def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> Correction:
@@ -364,17 +348,17 @@ def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> Correction
                    2 * falling[0] * den << j)
 
 
-def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights) -> Correction:
+def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights, two_p: int) -> Correction:
     """Order-j temperature correction at L = 1 from ``powers``, row j of
     the table of powers of z: slot k is -d_k sum_i r_i [lambda^j] z^(k+i).
 
-    With ``weights`` as ``_grown_theta`` makes them, slot k is
-    -E_k / ((3k+1)! (2p)^j) times sum_i R_i (2p)^(j-k-i) [lambda^j] z^(k+i),
-    so each entry of the row is scaled once by its power of 2p.
+    With ``weights`` as ``_grown_theta`` makes them and eps = p/q, slot k
+    is -E_k / ((3k+1)! (2p)^j) times sum_i R_i (2p)^(j-k-i) [lambda^j]
+    z^(k+i), so each entry of the row is scaled once by its power of 2p.
     """
     nums, den = powers
-    E, reciprocal, commons, two_p = weights
-    common = commons[j]
+    E, reciprocal = weights
+    common = math.lcm(*(d for _, d in reciprocal[: j + 1]))
     rho = [n * (common // d) for n, d in reciprocal[: j + 1]]
     scaled, power = list(nums), 1
     for m in range(j, 0, -1):
@@ -386,13 +370,14 @@ def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights) -> Correc
 
 
 def recurrence_step_f(j: int, unit_f: Sequence[Correction]) -> Correction:
-    """Order-j momentum correction at L = 1, read from ``unit_f``, the
-    shared f tuple (see ``_f_correction`` for how it is derived).
+    """Order-j momentum correction at L = 1, read from ``unit_f``, the f
+    corrections of the shared table (see ``_f_correction`` for how each is
+    derived).
 
     The name is that of the convolution recurrence step this reader
     replaced: bench/tracer.py times it by name (span hpm.recurrence_f), and
     a traced run needs the same counts in every round, so every build calls
-    it once per order j >= 1, however warm the shared tuple is.
+    it once per order j >= 1, however warm the shared table is.
     """
     return unit_f[j]
 
@@ -447,11 +432,11 @@ def _unit_corrections(order: int, epsilon: Fraction) -> tuple[list[Correction], 
     build, as fresh lists of the shared, immutable corrections.
 
     Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  Every later order is
-    read from the shared f tuple and the shared theta table of ``epsilon``,
-    each derived first up to this order if it is shorter, through its
-    ``recurrence_step_*`` reader, once per order.
+    read from the f corrections of the shared table and from the shared
+    theta table of ``epsilon``, each derived first up to this order if it is
+    shorter, through its ``recurrence_step_*`` reader, once per order.
     """
-    unit_f, thetas = _shared_f(order), _shared_theta(order, epsilon)
+    unit_f, thetas = _shared_table(order + 1)[2], _shared_theta(order, epsilon)
     f_list, theta_list = [unit_f[0]], [thetas[0]]
     for j in range(1, order + 1):
         theta_list.append(recurrence_step_theta(j, thetas))

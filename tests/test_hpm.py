@@ -568,9 +568,9 @@ def test_benchmark_tracer_still_sees_the_engine():
 
 
 def test_benchmark_tracer_sees_each_reader_once_per_order_at_a_warm_epsilon():
-    """The f tuple and the theta table of an eps are kept across builds, so a
-    build at a new L finds every correction ready; it must still call each
-    reader once per order, in every round of a traced run."""
+    """The f corrections and the theta table of an eps are kept across
+    builds, so a build at a new L finds every correction ready; it must
+    still call each reader once per order, in every round of a traced run."""
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -586,21 +586,35 @@ def test_benchmark_tracer_sees_each_reader_once_per_order_at_a_warm_epsilon():
         assert {name: metrics.get(name) for name in names} == dict(zip(names, (12, 12, 1)))
 
 
-def test_traced_series_ladder_run_has_no_failed_op(tmp_path):
-    """A traced run replays the same ops in every round and fails an op whose
-    per-layer counts differ from round 0, so a memo that skips a reader on a
-    warm build shows here.  The run works on a copy of src/ and bench/."""
+def run_benchmark_copy(tmp_path, *argv):
+    """Run a bench/ script on a copy of src/, bench/ and BENCHMARK.json in
+    ``tmp_path``, so the run leaves nothing in the checkout."""
     root = Path(__file__).resolve().parents[1]
     for part in ("src", "bench"):
         shutil.copytree(root / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "series_ladder", "--seed", "1",
-         "--seconds", "2", "--trace", "1"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_traced_series_ladder_run_has_no_failed_op(tmp_path):
+    """A traced run replays the same ops in every round and fails an op whose
+    per-layer counts differ from round 0, so a memo that skips a reader on a
+    warm build shows here."""
+    proc = run_benchmark_copy(tmp_path, "bench/run.py", "--workload", "series_ladder",
+                              "--seed", "1", "--seconds", "2", "--trace", "1")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == 0 and result["attempted"] > 0, result
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    """The benchmark's output checks pass the program's real outputs and fail
+    corrupted ones, and every workload prints its metrics; so a change to
+    src/ that breaks an output check fails here."""
+    proc = run_benchmark_copy(tmp_path, "bench/selftest.py")
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
 
 
 # Scripts for a fresh interpreter, whose shared table starts cold.  Each
@@ -615,8 +629,8 @@ def cold():
     spec = importlib.util.spec_from_file_location("flatplate._cold_hpm", hpm.__file__)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert len(module._table[1]) == 2 and len(module._unit_f) == 1
-    assert module._theta_tables == ()
+    assert [len(part) for part in module._table[1:]] == [2, 1]  # rows 0..1, f_0
+    assert module._theta_tables == {}
     return module
 
 def document(module, order, L, eps):
@@ -685,15 +699,17 @@ print(json.dumps([any(thread.is_alive() for thread in threads), same.count(True)
         script = """
 sizes, kept = [], []
 for order in (3, 1, 12, hpm.MAX_ORDER, hpm.MAX_ORDER, 0):
-    rows = hpm._table[1]
+    _, rows, unit_f = hpm._table
     hpm.build_series(hpm.HpmConfig(order, 10**20, Fraction(1, 7)))
-    signed, grown = hpm._table
-    kept.append(all(new is old for new, old in zip(grown, rows)))
-    sizes.append([len(grown), len(signed)])
+    signed, grown, f = hpm._table
+    kept.append([all(new is old for new, old in zip(grown, rows)),
+                 all(new is old for new, old in zip(f, unit_f))])
+    sizes.append([len(grown), len(signed), len(f)])
 print(json.dumps([sizes, kept]))
 """
         rows = [5, 5, 14, MAX_ORDER + 2, MAX_ORDER + 2, MAX_ORDER + 2]
-        assert run_fresh(fresh_python, script) == [[[n, n - 1] for n in rows], [True] * 6]
+        expected = [[[n, n - 1, n - 1] for n in rows], [[True, True]] * 6]
+        assert run_fresh(fresh_python, script) == expected
 
 
 class TestSharedCorrections:
@@ -713,7 +729,7 @@ interleaved, kept, rows = cold(), [], {}
 grown = []
 for config in configs:
     grown.append(document(interleaved, *config))
-    for eps, (_, thetas) in interleaved._theta_tables:
+    for eps, (_, thetas) in interleaved._theta_tables.items():
         kept.append(all(new is old for new, old in zip(thetas, rows.get(eps, ()))))
         rows[eps] = thetas
 straight = cold()
@@ -721,9 +737,9 @@ for eps in epsilons:
     document(straight, 25, 5, eps)
 after = [document(straight, *config) for config in configs]
 from_cold = [document(cold(), *config) for config in configs]
-lengths = sorted(len(thetas) for _, (_, thetas) in interleaved._theta_tables)
+lengths = sorted(len(thetas) for _, thetas in interleaved._theta_tables.values())
 print(json.dumps([grown == from_cold, after == from_cold, len(configs), all(kept), lengths,
-                  len(interleaved._unit_f)]))
+                  len(interleaved._table[2])]))
 """
         assert run_fresh(fresh_python, script) == [True, True, 18, True, [26, 26, 26], 26]
 
@@ -756,16 +772,17 @@ serial = cold()
 same = [documents.get(config) == document(serial, *config)
         for configs in jobs for config in configs]
 print(json.dumps([any(thread.is_alive() for thread in threads), same.count(True), len(same),
-                  [[str(e), len(thetas)] for e, (_, thetas) in hpm._theta_tables],
-                  len(hpm._unit_f)]))
+                  [[str(e), len(thetas)] for e, (_, thetas) in hpm._theta_tables.items()],
+                  len(hpm._table[2])]))
 """
         expected = [False, 12, 12, [["1/7", MAX_ORDER + 1]], MAX_ORDER + 1]
         assert run_fresh(fresh_python, script) == expected
 
     def test_at_most_the_cap_of_theta_tables_is_held(self, fresh_python):
-        """Builds at cap + 3 distinct eps keep the cap most recently used
-        tables, most recent first; an evicted eps is built anew, and its
-        document is the cold one."""
+        """Builds at cap + 3 distinct eps keep the cap tables grown last,
+        newest last; a build that finds its rows leaves the order as it is,
+        and one that grows a table makes it the newest.  An evicted eps is
+        built anew, and its document is the cold one."""
         script = """
 cap = hpm._THETA_TABLES
 epsilons = [Fraction(1, k) for k in range(1, cap + 4)]
@@ -773,16 +790,21 @@ sizes = []
 for eps in epsilons:
     document(hpm, 12, 5, eps)
     sizes.append(len(hpm._theta_tables))
-held = [eps for eps, _ in hpm._theta_tables]
+held = list(hpm._theta_tables)
+document(hpm, 12, 7, held[0])
+after_warm = list(hpm._theta_tables)
+document(hpm, 13, 5, held[0])
+after_growth = list(hpm._theta_tables)
 evicted = epsilons[0]
 again = document(hpm, 12, Fraction(7, 2), evicted)
-print(json.dumps([cap, sizes, held == epsilons[::-1][:cap],
+print(json.dumps([cap, sizes, held == epsilons[-cap:], after_warm == held,
+                  after_growth == held[1:] + held[:1],
                   again == document(cold(), 12, Fraction(7, 2), evicted),
-                  hpm._theta_tables[0][0] == evicted, len(hpm._theta_tables)]))
+                  list(hpm._theta_tables) == after_growth[1:] + [evicted]]))
 """
         cap, sizes, *checks = run_fresh(fresh_python, script)
         assert 1 <= cap and sizes == [min(n, cap) for n in range(1, cap + 4)]
-        assert checks == [True, True, True, cap]
+        assert checks == [True] * 5
 
     def test_a_caller_cannot_change_a_later_build(self, fresh_python):
         """``_unit_corrections`` returns fresh lists of immutable corrections:
@@ -815,12 +837,12 @@ print(json.dumps([immutable, refused,
             self, fresh_python):
         """A theta table grows outside the lock.  Thread A's growth of a new
         eps is held inside ``_grown_theta`` until released; meanwhile a build
-        at a known eps whose table is not the most recently used must still
-        finish, and both documents are the cold ones."""
+        at a known eps whose table is not the newest must still finish, and
+        both documents are the cold ones."""
         script = """
 import threading
 document(hpm, 12, 5, 1)
-document(hpm, 12, 5, Fraction(1, 2))  # eps = 1 is now not the most recent
+document(hpm, 12, 5, Fraction(1, 2))  # eps = 1 is now not the newest
 entered, release = threading.Event(), threading.Event()
 grown = hpm._grown_theta
 
@@ -849,10 +871,30 @@ serial = cold()
 print(json.dumps([held, finished_while_held, growing.is_alive(), known.is_alive(),
                   [documents.get(c) == document(serial, *c)
                    for c in ((12, 5, Fraction(1, 3)), (12, 7, 1))],
-                  [str(eps) for eps, _ in hpm._theta_tables]]))
+                  [str(eps) for eps in hpm._theta_tables]]))
 """
-        expected = [True, True, False, False, [True, True], ["1/3", "1", "1/2"]]
+        expected = [True, True, False, False, [True, True], ["1", "1/2", "1/3"]]
         assert run_fresh(fresh_python, script) == expected
+
+    def test_a_build_that_finds_its_rows_takes_no_lock(self, fresh_python):
+        """While another thread holds ``_growing``, a build at a known eps
+        whose table is not the newest, and whose rows are all there, still
+        finishes, and its document is the cold one."""
+        script = """
+import threading
+document(hpm, 12, 5, 1)
+document(hpm, 12, 5, Fraction(1, 2))  # eps = 1 is now not the newest
+expected = document(cold(), 12, 7, 1)
+documents = {}
+known = threading.Thread(target=lambda: documents.update(built=document(hpm, 12, 7, 1)))
+with hpm._growing:
+    known.start()
+    known.join(timeout=30)
+    finished_while_held = not known.is_alive()
+known.join(timeout=60)
+print(json.dumps([finished_while_held, documents.get("built") == expected]))
+"""
+        assert run_fresh(fresh_python, script) == [True, True]
 
 
 @pytest.mark.parametrize("L", [Fraction(5), Fraction(10), Fraction(7, 2)])
