@@ -17,9 +17,9 @@ series engine (``exact``, ``hpm``); the ``shoot``, ``compare`` and
 call their functions through those modules.  So ``series`` and ``--help``
 never load the shooting or report layers.  No default run loads
 ``dataclasses``: the records of every layer load it only for a caller of
-the dataclasses API (see ``_record``).  The five functions of those layers
-that this module used to import stay readable as its attributes (see
-``__getattr__``).
+the dataclasses API (see ``_record``).  Five functions of those layers
+stay readable as attributes of this module (see ``__getattr__``), because
+the benchmark's tracer, bench/tracer.py, wraps them here by name.
 
 A run ends through ``entry``: it freezes the heap once ``main`` returns, so
 the interpreter's exit skips collecting and freeing the cyclic garbage of

@@ -11,8 +11,10 @@ Every public constructor checks its input: ``as_rational`` and
 Only values the engine has just made skip those checks.  ``_reduced`` makes
 a Fraction from a pair that is already coprime with a positive denominator,
 and ``RationalPolynomial._of`` adopts a dict of nonzero canonical Fractions
-keyed by int powers; ``derivative`` and the series engine of
-``flatplate.hpm`` call them, on numbers they have just reduced.
+keyed by int powers; ``derivative``, ``_summed`` and the series engine of
+``flatplate.hpm`` call them, on numbers they have just reduced.  ``_summed``
+is the one exact sum of terms: ``+``, the product of two polynomials and
+``HpmSeries.partial_sum`` all call it.
 
 Every value here is immutable, so values may be shared freely across
 threads.  A polynomial caches one derived value, the Horner plan that float
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from ._format import CHUNK_ROWS, loaded_numpy
 
@@ -55,6 +57,26 @@ def _reduced(num: int, den: int) -> Fraction:
     value._numerator = num
     value._denominator = den
     return value
+
+
+def _summed(terms: Iterable[tuple[int, Fraction]]) -> RationalPolynomial:
+    """The polynomial sum of (power, coefficient) terms, each coefficient a
+    nonzero canonical Fraction and powers repeating freely: one lcm and one
+    gcd per repeated power, not one per addition, and a zero sum is dropped."""
+    by_power: dict[int, list[Fraction]] = {}
+    for power, coeff in terms:
+        by_power.setdefault(power, []).append(coeff)
+    sums = {}
+    for power, coeffs in by_power.items():
+        if len(coeffs) == 1:  # already in lowest terms
+            sums[power] = coeffs[0]
+            continue
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = sum(c.numerator * (den // c.denominator) for c in coeffs)
+        if num:
+            g = math.gcd(num, den)
+            sums[power] = _reduced(num // g, den // g)
+    return RationalPolynomial._of(sums)
 
 
 def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
@@ -126,20 +148,13 @@ class RationalPolynomial:
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        out = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            out[p] = out[p] + c if p in out else c
-        return RationalPolynomial(out)
+        return _summed(itertools.chain(self._coeffs.items(), other._coeffs.items()))
 
     def __mul__(self, other) -> "RationalPolynomial":
         """Product with a polynomial, or with a Fraction or int scalar."""
         if isinstance(other, RationalPolynomial):
-            out: dict[int, Fraction] = {}
-            for p, a in self._coeffs.items():
-                for q, b in other._coeffs.items():
-                    k = p + q
-                    out[k] = out[k] + a * b if k in out else a * b
-            return RationalPolynomial(out)
+            return _summed((p + q, a * b) for p, a in self._coeffs.items()
+                           for q, b in other._coeffs.items())
         if isinstance(other, (Fraction, int)):
             return RationalPolynomial({p: c * other for p, c in self._coeffs.items()})
         return NotImplemented

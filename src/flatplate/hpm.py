@@ -51,14 +51,8 @@ J(w) = sum_k d_k w^k, the corrections at L = 1 are, for k = 0..j,
     theta_j:  coefficient of eta^(3k+1) = -d_k [lambda^j] z^k / J(z)
 
 and theta_0 has the constant 1 besides.  The process keeps the L-free half
-of every build in two parts.  One table holds [lambda^n] z^m, 1 <= m <= n,
-and the f_j read from it, which depend on neither L nor eps; it grows on
-demand to the rows an order needs, n <= order + 1, so to at most
-MAX_ORDER + 2 rows, at about n^3/6 integer multiply-adds for n rows, once
-per process.  Beside it, a table of theta weights and theta_j is kept for
-each of the few eps grown last.  So the theta sums, about order^3/6
-multiply-adds, run once per (eps, order) in a process; a build at a known
-eps does only the work of L, and a build that finds its rows takes no lock.
+of every build, in the two parts the comment above ``_table`` describes, so
+a build at a known eps does only the work of L.
 
 ``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
 dataclasses API works on them, but building a series never loads
@@ -74,16 +68,12 @@ from operator import mul
 from typing import Sequence
 
 from ._record import _Record
-from .exact import RationalPolynomial, _reduced, as_rational
+from .exact import RationalPolynomial, _reduced, _summed, as_rational
 
 
 # Highest accepted order.  Build time grows about as the cube of the order
-# (on a 2-vCPU host, pinned to one CPU, 0.03 s at order 40 and 0.11-0.14 s
-# at order 60 for L = 5 and eps = 1; at order 60, 0.55-0.58 s at L = 10^300,
-# 0.44 s of it placing the corrections at L, and 2.0-2.4 s at
-# eps = 10^-300), so an unchecked order is an unbounded computation.  Those
-# are first builds at an eps; a later build at that eps reads the kept
-# corrections and places them at L (0.011 s at order 60 and L = 7/2).
+# (README.md, under flatplate.hpm, gives measured times), so an unchecked
+# order is an unbounded computation.
 MAX_ORDER = 60
 
 
@@ -138,19 +128,8 @@ class HpmSeries(_Record):
             up_to = self.order
         if type(up_to) is not int or not 0 <= up_to <= self.order:  # no bool, no float
             raise ValueError(f"up_to must be in 0..{self.order}, got {up_to!r}")
-        by_power: dict[int, list[Fraction]] = {}
-        for correction in corrections[: up_to + 1]:
-            for power, coeff in correction.terms():
-                by_power.setdefault(power, []).append(coeff)
-        # one gcd per power, not one per addition; a zero sum is dropped
-        sums = {}
-        for power, coeffs in by_power.items():
-            den = math.lcm(*(c.denominator for c in coeffs))
-            num = sum(c.numerator * (den // c.denominator) for c in coeffs)
-            if num:
-                g = math.gcd(num, den)
-                sums[power] = _reduced(num // g, den // g)
-        return RationalPolynomial._of(sums)
+        return _summed(term for correction in corrections[: up_to + 1]
+                       for term in correction.terms())
 
 
 # The engine works at L = 1.  The table of powers of z is dense: row n holds
@@ -183,25 +162,29 @@ ThetaTable = tuple[ThetaWeights, tuple[Correction, ...]]  # weights, theta_0..th
 # under _growing, so a build reads it without the lock and sees a complete
 # part, the old one or the new; a build that finds the rows it needs takes
 # no lock.  _table grows under _growing; a theta table grows outside it,
-# from a snapshot, so a build at a known eps never waits for another to grow.
+# from a snapshot, so a build at a known eps never waits for another to grow,
+# and under the lock the longer of it and the table then held is published.
 #
 # _table: rows 0..n of the table of powers of z, the signed integers
 # (-1)^k A_k, k < n, that they need, and f_0..f_(n-1) at L = 1, since f_j
 # is read from row j+1.  Row n depends only on the rows below it.  Neither
-# L nor eps enters.  At most MAX_ORDER + 2 rows, about 230 KiB, and
-# MAX_ORDER + 1 f corrections, about 470 KiB.
+# L nor eps enters.  It grows to the rows an order needs, n <= order + 1,
+# at about n^3/6 integer multiply-adds for n rows, once per process: at
+# most MAX_ORDER + 2 rows, about 230 KiB, and MAX_ORDER + 1 f corrections,
+# about 470 KiB.
 _table: Table = ((1,), (((1,), 1), ((0, 1), 1)), (((1, 2),),))
 # _theta_tables: eps -> table, oldest growth first, at most _THETA_TABLES
 # of them; growing a table makes it the newest, and the table grown longest
 # ago is evicted beyond the cap (an evicted eps builds its table anew).  A
 # table holds the weights E, R through order n and theta_0..theta_n at
-# L = 1.  The weights of order n are those of every higher order cut at n,
-# so a table grows from n to m by appending and keeps rows 0..n.  Its size
-# grows with the order and with the digits of eps (E_n carries q^n, R_n
-# carries p^n): at order 25 about 63 KiB for an eps of one or two digits,
-# at MAX_ORDER about 0.5 MiB for such an eps, 3.1 MiB for an eps of 40
-# digits and 10.4 MiB at eps = 10^-300 (the weights are 0.5 MiB of it), so
-# the tables hold at most _THETA_TABLES times as much.
+# L = 1, so the theta sums, about order^3/6 multiply-adds, run once per
+# (eps, order) in a process.  The weights of order n are those of every
+# higher order cut at n, so a table grows from n to m by appending and keeps
+# rows 0..n.  Its size grows with the order and with the digits of eps (E_n
+# carries q^n, R_n carries p^n): at order 25 about 63 KiB for an eps of one
+# or two digits, at MAX_ORDER about 0.5 MiB for such an eps, 3.1 MiB for an
+# eps of 40 digits and 10.4 MiB at eps = 10^-300 (the weights are 0.5 MiB
+# of it), so the tables hold at most _THETA_TABLES times as much.
 _THETA_TABLES = 4
 _theta_tables: dict[Fraction, ThetaTable] = {}
 _growing = threading.Lock()
@@ -214,15 +197,6 @@ def _lowest(nums: list[int], den: int) -> Correction:
         g = math.gcd(n, den)
         slots.append((n // g, den // g))
     return tuple(slots)
-
-
-def _falling(j: int, offset: int) -> list[int]:
-    """(3j+offset)! / (3k+offset)! for k = 0..j."""
-    weights = [1]
-    for k in range(j, 0, -1):
-        weights.append(weights[-1] * (3 * k + offset) * (3 * k + offset - 1) * (3 * k + offset - 2))
-    weights.reverse()
-    return weights
 
 
 def _shared_table(top: int) -> Table:
@@ -287,14 +261,11 @@ def _grown(table: Table, top: int) -> Table:
 
 def _shared_theta(top: int, epsilon: Fraction) -> tuple[Correction, ...]:
     """The shared theta_0..theta_top at L = 1 (at least) for ``epsilon``,
-    derived first if missing.  A table long enough is returned as found.
+    grown first if it is shorter (see the comment above ``_table``).
 
-    A missing part is grown outside _growing, from the table as this build
-    found it; under the lock the longer of that and the table now held for
-    ``epsilon`` is published as the newest entry, so two builds that grow
-    one eps at once publish rows of equal value.  Each of them grows the
-    whole part, though: no workload builds from threads, and a per-eps
-    marker for the others to wait on would be a third kind of kept state.
+    Two builds that grow one eps at once each grow the whole part: no
+    workload builds from threads, and a per-eps marker for the others to
+    wait on would be a third kind of kept state.
     """
     global _theta_tables
     table = _theta_tables.get(epsilon)
@@ -343,7 +314,7 @@ def _f_correction(j: int, powers: PowerRow, signed: Sequence[int]) -> Correction
     table of powers of z: slot k is c_k [lambda^(j+1)] z^(k+1), with
     c_k = signed[k] / (2^k (3k+2)!)."""
     nums, den = powers
-    falling = _falling(j, 2)
+    falling = [math.perm(3 * j + 2, 3 * (j - k)) for k in range(j + 1)]
     return _lowest([signed[k] * w * nums[k + 1] << (j - k) for k, w in enumerate(falling)],
                    2 * falling[0] * den << j)
 
@@ -364,7 +335,7 @@ def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights, two_p: in
     for m in range(j, 0, -1):
         scaled[m] *= power
         power *= two_p
-    falling = _falling(j, 1)
+    falling = [math.perm(3 * j + 1, 3 * (j - k)) for k in range(j + 1)]
     return _lowest([-E[k] * w * sum(map(mul, rho, scaled[k:])) for k, w in enumerate(falling)],
                    falling[0] * power * common * den)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,6 +27,15 @@ def series_order6():
 def default_shot():
     """Shooting solution at the default settings (eta_max=10, step=1e-3)."""
     return solve_shooting(IntegratorSettings())
+
+
+@pytest.fixture(scope="session")
+def tracer_module():
+    """bench/tracer.py, loaded from its file: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", _SRC.parent / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -439,6 +439,16 @@ class TestConfigFile:
         assert code == 0
         assert csv_path.read_text().splitlines()[0].endswith("theta_numerical,theta_hpm")
 
+    def test_config_switches_off_with_comment_and_blank_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nwith-theta=off\nstamp=0\neta-max=6\nstep=0.01\n")
+        csv_path = tmp_path / "plain.csv"
+        code, _, _ = run(capsys, "compare", "--config", str(cfg), "--csv", str(csv_path))
+        assert code == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "eta,fprime_numerical,fprime_hpm"
+        assert not any(line.startswith("#") for line in lines)
+
     def test_bad_config_switch(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("stamp=maybe\n")

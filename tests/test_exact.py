@@ -1,10 +1,8 @@
 """Exact rational and polynomial algebra: frozen examples plus ring properties."""
 
 import copy
-import importlib.util
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +163,8 @@ class TestPolynomialBasics:
     def test_str_formatting(self):
         assert str(RationalPolynomial({2: Fraction(1, 10)})) == "(1/10)*eta^2"
         assert str(RationalPolynomial({0: 1, 1: Fraction(-1, 5)})) == "1 - (1/5)*eta"
+        assert str(RationalPolynomial({0: 1, 1: -1})) == "1 - eta"
+        assert str(RationalPolynomial({3: 1})) == "eta^3"
         assert str(RationalPolynomial()) == "0"
 
     def test_obj_round_trip(self):
@@ -214,6 +214,15 @@ class TestPolynomialProperties:
     @given(polynomials, polynomials)
     def test_additive_inverse(self, p, q):
         assert (p + q * -1) + q == p
+
+    # eval_exact is a Fraction Horner that shares no code with the sum of + and *
+    @given(polynomials, polynomials, rationals)
+    def test_sum_evaluates_to_the_sum_of_values(self, p, q, x):
+        assert (p + q).eval_exact(x) == p.eval_exact(x) + q.eval_exact(x)
+
+    @given(polynomials, polynomials, rationals)
+    def test_product_evaluates_to_the_product_of_values(self, p, q, x):
+        assert (p * q).eval_exact(x) == p.eval_exact(x) * q.eval_exact(x)
 
     @given(polynomials)
     def test_derivative_inverts_antiderivative(self, p):
@@ -413,11 +422,7 @@ class TestFloatTableIsInvisible:
         assert copied == used == unused and hash(copied) == hash(unused)
         assert copied.eval_float(2.5) == unused.eval_float(2.5)
 
-    def test_benchmark_tracer_still_wraps_eval_float(self):
-        spec = importlib.util.spec_from_file_location(
-            "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
-        tracer_module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_module)
+    def test_benchmark_tracer_still_wraps_eval_float(self, tracer_module):
         method = RationalPolynomial.eval_float
         poly = fresh(TARGET_POLY)
         tracer = tracer_module.Tracer()

@@ -9,7 +9,6 @@ independent of the code path it checks.
 
 import copy
 import dataclasses
-import importlib.util
 import json
 import math
 import pickle
@@ -548,15 +547,11 @@ def test_wall_slopes_match_the_lagrange_inversion():
         assert slots[:1] == slotwise([wall.numerator], wall.denominator), j
 
 
-def test_benchmark_tracer_still_sees_the_engine():
+def test_benchmark_tracer_still_sees_the_engine(tracer_module):
     """bench/tracer.py wraps both recurrence steps and build_series by name, so
     the build must reach them through the module globals to be traced.  A
     traced run needs the same counts in every round, so a build that finds
     the shared table warm still calls each reader once per order."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
     names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
     for _ in range(2):
         tracer = tracer_module.Tracer()
@@ -567,14 +562,10 @@ def test_benchmark_tracer_still_sees_the_engine():
         assert {name: metrics.get(name) for name in names} == dict(zip(names, (5, 5, 1)))
 
 
-def test_benchmark_tracer_sees_each_reader_once_per_order_at_a_warm_epsilon():
+def test_benchmark_tracer_sees_each_reader_once_per_order_at_a_warm_epsilon(tracer_module):
     """The f corrections and the theta table of an eps are kept across
     builds, so a build at a new L finds every correction ready; it must
     still call each reader once per order, in every round of a traced run."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
     names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
     eps = Fraction(7, 10)
     hpm.build_series(HpmConfig(order=12, epsilon=eps))
@@ -1193,4 +1184,16 @@ class TestSeriesDocument:
         doc = series_to_document(series_order3)
         doc["order"] = 2
         with pytest.raises(ValueError):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("damage", ["empty", "no theta", "f is an int"])
+    def test_rejects_a_document_with_a_missing_or_bad_field(self, series_order3, damage):
+        doc = series_to_document(series_order3)
+        if damage == "empty":
+            doc = {}
+        elif damage == "no theta":
+            del doc["theta"]
+        else:
+            doc["f"] = 3
+        with pytest.raises(ValueError, match="^not a series document: missing or bad field"):
             series_from_document(doc)

@@ -58,16 +58,19 @@ def random_values(rng: random.Random, n: int) -> list[float]:
 
 
 class TestInterp:
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", [*range(20), "flat"])
     def test_matches_np_interp(self, seed):
-        rng = random.Random(seed)
-        xp = sorted({rng.uniform(-5.0, 5.0) for _ in range(rng.randrange(2, 60))})
-        if len(xp) < 2:
-            xp = [0.0, 1.0]
-        fp = [rng.choice([math.nan, math.inf, -math.inf, 1e308, -1e308]) if rng.random() < 0.1
-              else rng.uniform(-2.0, 2.0) for _ in xp]
-        xs = [rng.uniform(-6.0, 6.0) for _ in range(200)]
-        xs += [*xp, xp[0], xp[-1], math.nan, -math.inf, math.inf, math.nextafter(xp[-1], 9.0)]
+        if seed == "flat":  # both ends give nan on a flat segment of infs, so its value
+            xp, fp, xs = [0.0, 1.0, 2.0], [0.0, math.inf, math.inf], [1.5]
+        else:
+            rng = random.Random(seed)
+            xp = sorted({rng.uniform(-5.0, 5.0) for _ in range(rng.randrange(2, 60))})
+            if len(xp) < 2:
+                xp = [0.0, 1.0]
+            fp = [rng.choice([math.nan, math.inf, -math.inf, 1e308, -1e308])
+                  if rng.random() < 0.1 else rng.uniform(-2.0, 2.0) for _ in xp]
+            xs = [rng.uniform(-6.0, 6.0) for _ in range(200)]
+            xs += [*xp, xp[0], xp[-1], math.nan, -math.inf, math.inf, math.nextafter(xp[-1], 9.0)]
         want = np.interp(np.array(xs), np.array(xp), np.array(fp), right=1.0)
         got = [report._interp(x, array("d", xp), array("d", fp), 1.0) for x in xs]
         assert bits(got) == bits(want)

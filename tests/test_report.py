@@ -1,7 +1,6 @@
 """Comparison metrics, CSV layout, and the SVG figure."""
 
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -321,18 +320,10 @@ class TestSvg:
         assert labels == ["0.0", "0.2", "0.4", "0.6", "0.8", "1.0"]
 
 
-def load_tracer_module():
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
-    return tracer_module
-
-
-def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3):
+def test_benchmark_tracer_still_sees_shooting_and_report(tmp_path, series_order3, tracer_module):
     """bench/tracer.py wraps solve_shooting, integrate_blasius, compare and
     emit_csv by name, so calls must go through the module globals to be traced."""
-    tracer = load_tracer_module().Tracer()
+    tracer = tracer_module.Tracer()
     with tracer.installed():
         shot = shooting.solve_shooting(IntegratorSettings(eta_max=2.0, step=0.01))
         report = report_module.compare(series_order3, shot)
