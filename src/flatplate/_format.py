@@ -10,13 +10,15 @@ the stdlib kernel otherwise, so the default ``compare``, ``figure`` and
 only, ``Grid.points`` for a grid longer than _PURE_MAX_POINTS;
 ``compare(with_theta=True)`` loads it through ``theta_profile``, which
 imports it itself and runs before the grid is made.  No writer loads it.
+
+``decimal`` loads with the first rounded summary value (``round_half_up``),
+so ``shoot`` and ``--help`` never load it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -42,6 +44,8 @@ _PURE_MAX_POINTS = 18_000
 
 def round_half_up(value: float, decimals: int) -> str:
     """Decimal string of ``value`` rounded half-up to ``decimals`` places."""
+    from decimal import ROUND_HALF_UP, Context, Decimal
+
     quantum = Decimal(1).scaleb(-decimals)
     # a finite float has at most 309 integer digits; the default precision of 28
     # makes quantize fail from 1e25 up

@@ -11,15 +11,19 @@ file of flat key=value pairs can override defaults; explicit flags win over
 the config file.  Values that start with a minus sign may follow their flag
 after a space (``--grid -1:5:0.1``, ``--probe -inf``).
 
-Each run loads only what its subcommand runs.  This module imports the
-series engine (``exact``, ``hpm``); the ``shoot``, ``compare`` and
-``figure`` handlers import ``shooting`` and ``report`` when they start, and
-call their functions through those modules.  So ``series`` and ``--help``
-never load the shooting or report layers.  No default run loads
-``dataclasses``: the records of every layer load it only for a caller of
-the dataclasses API (see ``_record``).  Five functions of those layers
-stay readable as attributes of this module (see ``__getattr__``), because
-the benchmark's tracer, bench/tracer.py, wraps them here by name.
+Each run loads only what its subcommand runs, and importing this module
+loads none of the layers.  ``_series_from_args``, which the ``series``,
+``compare`` and ``figure`` handlers run, imports the series engine
+(``exact``, ``hpm``); the ``shoot``, ``compare`` and ``figure`` handlers
+import ``shooting`` and ``report`` when they start.  Every handler calls
+the functions of a layer through its module, but for ``series_to_document``,
+read on this module (see ``_render_series``).  So ``--help``, a usage error
+and ``shoot`` never load the series engine, and ``series`` never loads the
+shooting or report layers.  No default run loads ``dataclasses``: the
+records of every layer load it only for a caller of the dataclasses API
+(see ``_record``).  Seven functions of those layers, two of them from
+``hpm``, stay readable as attributes of this module (see ``__getattr__``),
+because the benchmark's tracer, bench/tracer.py, wraps them here by name.
 
 A run ends through ``entry``: it freezes the heap once ``main`` returns, so
 the interpreter's exit skips collecting and freeing the cyclic garbage of
@@ -36,17 +40,23 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Sequence
 
-from ._format import round_half_up
-from .exact import as_rational
-from .hpm import HpmConfig, HpmSeries, build_series, series_to_document
-
 if TYPE_CHECKING:
+    from .hpm import HpmSeries
     from .shooting import IntegratorSettings
 
-# Functions of the shooting and report layers that bench/tracer.py reads, and
-# wraps, on this module without loading either layer at import.  Each read
-# fetches the current attribute of the home module the package names for it.
-_DEFERRED = ("solve_shooting", "write_trajectory_csv", "compare", "emit_csv", "emit_svg_figure")
+# Functions of the series engine, shooting and report layers that
+# bench/tracer.py reads, and wraps, on this module without loading any layer
+# at import.  Each read fetches the current attribute of the home module the
+# package names for it.
+_DEFERRED = (
+    "build_series",
+    "series_to_document",
+    "solve_shooting",
+    "write_trajectory_csv",
+    "compare",
+    "emit_csv",
+    "emit_svg_figure",
+)
 
 
 def __getattr__(name: str):
@@ -200,12 +210,15 @@ def _stamp_lines(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _series_from_args(args: argparse.Namespace) -> HpmSeries:
-    config = HpmConfig(
+    from . import hpm
+    from .exact import as_rational
+
+    config = hpm.HpmConfig(
         order=args.order,
         L=as_rational(args.domain_length, flag="--domain-length"),
         epsilon=as_rational(args.epsilon, flag="--epsilon"),
     )
-    return build_series(config)
+    return hpm.build_series(config)
 
 
 def _settings_from_args(args: argparse.Namespace) -> IntegratorSettings:
@@ -218,7 +231,9 @@ def _render_series(series: HpmSeries, fmt: str) -> str:
     if fmt == "json":
         import json
 
-        return json.dumps(series_to_document(series), indent=2) + "\n"
+        # read on this module, where bench/tracer.py wraps it (see _DEFERRED)
+        document = sys.modules[__name__].series_to_document(series)
+        return json.dumps(document, indent=2) + "\n"
     if fmt == "csv":
         lines = ["component,j,power,num,den"]
         for name, corrections in (("f", series.f_corrections), ("theta", series.theta_corrections)):
@@ -237,9 +252,14 @@ def _render_series(series: HpmSeries, fmt: str) -> str:
     lines.append(f"f = {f_sum}")
     lines.append(f"theta = {theta_sum}")
     wall = 2 * f_sum.coefficient(2)
-    lines.append(
-        f"f''(0) = {wall} ~ {float(wall):.7f} ({round_half_up(float(wall), 3)} at 3 decimals)"
-    )
+    try:
+        approx = float(wall)
+    except OverflowError:  # the exact value prints at any L; its float may not exist
+        lines.append(f"f''(0) = {wall} (beyond the float range)")
+    else:
+        from ._format import round_half_up
+
+        lines.append(f"f''(0) = {wall} ~ {approx:.7f} ({round_half_up(approx, 3)} at 3 decimals)")
     return "\n".join(lines) + "\n"
 
 

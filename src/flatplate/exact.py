@@ -62,7 +62,9 @@ def _reduced(num: int, den: int) -> Fraction:
 def _summed(terms: Iterable[tuple[int, Fraction]]) -> RationalPolynomial:
     """The polynomial sum of (power, coefficient) terms, each coefficient a
     nonzero canonical Fraction and powers repeating freely: one lcm and one
-    gcd per repeated power, not one per addition, and a zero sum is dropped."""
+    gcd per power of three or more terms, not one per addition, and a zero
+    sum is dropped.  A pair goes through ``Fraction.__add__``, whose second
+    gcd is against gcd(b, d) only, not against the full lcm."""
     by_power: dict[int, list[Fraction]] = {}
     for power, coeff in terms:
         by_power.setdefault(power, []).append(coeff)
@@ -70,6 +72,11 @@ def _summed(terms: Iterable[tuple[int, Fraction]]) -> RationalPolynomial:
     for power, coeffs in by_power.items():
         if len(coeffs) == 1:  # already in lowest terms
             sums[power] = coeffs[0]
+            continue
+        if len(coeffs) == 2:
+            total = coeffs[0] + coeffs[1]
+            if total:
+                sums[power] = total
             continue
         den = math.lcm(*(c.denominator for c in coeffs))
         num = sum(c.numerator * (den // c.denominator) for c in coeffs)

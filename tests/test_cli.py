@@ -6,6 +6,7 @@ import io
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,17 @@ class TestSeriesCommand:
         code, out, _ = run(capsys, "series", "--order", "0", "--domain-length", "11/2")
         assert code == 0
         assert "f0 = (1/11)*eta^2" in out  # 1/(2L) with L = 11/2
+
+    @pytest.mark.parametrize("length", ["1e400", "1e-400"])
+    def test_wall_slope_beyond_the_float_range_prints_exactly(self, capsys, length):
+        # the json and csv formats write this series; the pretty one must too
+        code, out, err = run(capsys, "series", "--domain-length", length)
+        assert (code, err) == (0, "")
+        series = build_series(HpmConfig(order=3, L=Fraction(length)))
+        wall = 2 * series.partial_sum("f").coefficient(2)
+        assert out.splitlines()[-1] == f"f''(0) = {wall} (beyond the float range)"
+        for fmt in ("json", "csv"):
+            assert run(capsys, "series", "--domain-length", length, "--format", fmt)[0] == 0
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "series", "--no-such-flag")

@@ -2,10 +2,14 @@
 
 Small arrays go through the stdlib kernels in a process that has not
 imported numpy, so the default runs of every subcommand never load it.
-``import flatplate`` loads no submodule, and ``series`` and ``--help`` load
-neither the shooting nor the report layer.  No default run loads
-``dataclasses`` or ``inspect``: the records load them only for a caller of
-the dataclasses API.  These tests compare module sets only, never timings.
+``import flatplate`` loads no submodule, and ``import flatplate.cli`` none
+but ``flatplate.cli``.  ``series`` and ``--help`` load neither the shooting
+nor the report layer.  Only the handlers that build a series load the
+series engine (``exact``, ``hpm``) and the ``fractions`` and ``decimal``
+modules it needs, so ``--help``, a usage error and ``shoot`` never do.  No
+default run loads ``dataclasses`` or ``inspect``: the records load them
+only for a caller of the dataclasses API.  These tests compare module sets
+only, never timings.
 """
 
 import importlib
@@ -27,6 +31,8 @@ MAIN = "from flatplate.cli import main\nif main({argv!r}):\n    sys.exit('exit c
 NEVER_LOADS = {"dataclasses", "inspect"}
 # Modules a run that only builds series has no use for.
 SERIES_NEVER_LOADS = {*NEVER_LOADS, "flatplate.report", "flatplate.shooting"}
+# The series engine and the stdlib modules that only it needs.
+ENGINE = {"flatplate.exact", "flatplate.hpm", "fractions", "decimal"}
 
 
 def modules_loaded_by(tmp_path, statement: str) -> set[str]:
@@ -84,6 +90,32 @@ def test_series_runs_load_neither_shooting_nor_report(tmp_path, statement):
     assert not modules_loaded_by(tmp_path, statement) & SERIES_NEVER_LOADS
 
 
+ENGINE_FREE_RUNS = {
+    "import-cli": SERIES_RUNS["import-cli"],
+    "help": SERIES_RUNS["help"],
+    "usage-error": "from flatplate.cli import main\nassert main(['series', '--order', 'x']) == 2",
+    "shoot": ARRAY_RUNS["shoot"],
+    "shoot-trajectory": ARRAY_RUNS["shoot-trajectory"],
+}
+
+
+@pytest.mark.parametrize("statement", ENGINE_FREE_RUNS.values(), ids=ENGINE_FREE_RUNS)
+def test_runs_that_build_no_series_never_load_the_engine(tmp_path, statement):
+    assert not modules_loaded_by(tmp_path, statement) & ENGINE
+
+
+@pytest.mark.parametrize("statement", [SERIES_RUNS["series-stdout"], ARRAY_RUNS["compare-csv"]],
+                         ids=["series-stdout", "compare-csv"])
+def test_runs_that_build_a_series_load_the_engine(tmp_path, statement):
+    # the control for the engine-free runs: the same check sees the engine load
+    assert "flatplate.hpm" in modules_loaded_by(tmp_path, statement)
+
+
+def test_import_cli_loads_no_other_flatplate_module(tmp_path):
+    assert {m for m in modules_loaded_by(tmp_path, "import flatplate.cli")
+            if m.startswith("flatplate.")} == {"flatplate.cli"}
+
+
 DEFAULT_ARRAY_RUNS = ("compare-csv", "figure-svg", "shoot", "shoot-trajectory")
 
 
@@ -133,14 +165,15 @@ def test_cli_still_reads_the_traced_functions_of_the_deferred_layers(tmp_path):
     # bench/tracer.py reads and wraps these on flatplate.cli
     statement = (
         "import flatplate.cli as cli\n"
-        "from flatplate import report, shooting\n"
-        "for home, names in [(shooting, 'solve_shooting write_trajectory_csv'),\n"
+        "from flatplate import hpm, report, shooting\n"
+        "for home, names in [(hpm, 'build_series series_to_document'),\n"
+        "                    (shooting, 'solve_shooting write_trajectory_csv'),\n"
         "                    (report, 'compare emit_csv emit_svg_figure')]:\n"
         "    assert all(getattr(cli, name) is getattr(home, name) for name in names.split())\n"
         "assert not hasattr(cli, 'theta_profile')"
     )
     loaded = modules_loaded_by(tmp_path, statement)
-    assert {"flatplate.report", "flatplate.shooting"} <= loaded
+    assert {"flatplate.hpm", "flatplate.report", "flatplate.shooting"} <= loaded
 
 
 class TestLazyPackage:

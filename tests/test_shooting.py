@@ -297,6 +297,11 @@ class TestShooting:
         result = solve_shooting(IntegratorSettings(eta_max=15.0, step=1e-3))
         assert abs(result.s_star - BOYD_SLOPE) <= 1e-12
 
+    def test_boyd_value_to_1e13_at_a_coarser_step(self):
+        # Boyd's 15 digits come from outside this code; the gap is 6.1e-15 on x86-64
+        result = solve_shooting(IntegratorSettings(eta_max=15, step=0.0025))
+        assert abs(result.s_star - BOYD_SLOPE) <= 1e-13
+
     def test_march_step_budget(self, monkeypatch):
         # a march whose F' never grows never reaches f'(eta_max) = 1, so the
         # search gives up after twice the caller's 100 steps
