@@ -156,7 +156,7 @@ _NOT_CONFIGURABLE = {"subcommand", "handler", "command_parser", "config"}
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for raw in handle:
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -157,13 +157,12 @@ ThetaWeights = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # E, R over 
 ThetaTable = tuple[ThetaWeights, tuple[Correction, ...]]  # weights, theta_0..theta_n
 
 # The L-free half of the engine, shared by every build in the process, in
-# two parts.  Nothing in it depends on which builds grew it, and a published
-# entry is never changed.  Each part is published by rebinding its global
-# under _growing, so a build reads it without the lock and sees a complete
-# part, the old one or the new; a build that finds the rows it needs takes
-# no lock.  _table grows under _growing; a theta table grows outside it,
-# from a snapshot, so a build at a known eps never waits for another to grow,
-# and under the lock the longer of it and the table then held is published.
+# two parts, kept by one rule.  Nothing in it depends on which builds grew
+# it, and a published entry is never changed.  Each part grows and is
+# published under _growing, by rebinding its global, so a build reads it
+# without the lock and sees a complete part, the old one or the new; a
+# build that finds the rows it needs takes no lock, and one that must grow
+# reads the part again under the lock, so each row is grown once.
 #
 # _table: rows 0..n of the table of powers of z, the signed integers
 # (-1)^k A_k, k < n, that they need, and f_0..f_(n-1) at L = 1, since f_j
@@ -187,6 +186,7 @@ _table: Table = ((1,), (((1,), 1), ((0, 1), 1)), (((1, 2),),))
 # of it), so the tables hold at most _THETA_TABLES times as much.
 _THETA_TABLES = 4
 _theta_tables: dict[Fraction, ThetaTable] = {}
+_THETA_SEED: ThetaTable = ((1,), ((1, 1),)), (((-1, 1),),)  # E_0, R_0 and theta_0
 _growing = threading.Lock()
 
 
@@ -263,24 +263,20 @@ def _shared_theta(top: int, epsilon: Fraction) -> tuple[Correction, ...]:
     """The shared theta_0..theta_top at L = 1 (at least) for ``epsilon``,
     grown first if it is shorter (see the comment above ``_table``).
 
-    Two builds that grow one eps at once each grow the whole part: no
-    workload builds from threads, and a per-eps marker for the others to
-    wait on would be a third kind of kept state.
+    A build that must grow waits for any growth in progress, at worst a
+    first order-60 build at eps = 10^-300 (1.9 s, README under
+    flatplate.hpm); a build that finds its rows does not wait.
     """
     global _theta_tables
-    table = _theta_tables.get(epsilon)
-    if table is not None and len(table[1]) > top:
-        return table[1]
-    if table is None:  # the weights E_0 and R_0, and theta_0
-        table = ((1,), ((1, 1),)), (((-1, 1),),)
-    signed, rows, _ = _shared_table(top)
-    table = _grown_theta(table, top, epsilon, signed, rows)
-    with _growing:
-        held = _theta_tables.get(epsilon)
-        if held is not None and len(held[1]) >= len(table[1]):
-            table = held
-        others = [(eps, kept) for eps, kept in _theta_tables.items() if eps != epsilon]
-        _theta_tables = dict([*others, (epsilon, table)][-_THETA_TABLES:])
+    table = _theta_tables.get(epsilon, _THETA_SEED)
+    if len(table[1]) <= top:
+        signed, rows, _ = _shared_table(top)  # first: _growing is not reentrant
+        with _growing:
+            table = _theta_tables.get(epsilon, _THETA_SEED)
+            if len(table[1]) <= top:
+                table = _grown_theta(table, top, epsilon, signed, rows)
+                others = [(eps, kept) for eps, kept in _theta_tables.items() if eps != epsilon]
+                _theta_tables = dict([*others, (epsilon, table)][-_THETA_TABLES:])
     return table[1]
 
 

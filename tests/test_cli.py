@@ -417,10 +417,11 @@ class TestFigureCommand:
 class TestConfigFile:
     def test_config_overrides_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("order=0\ndomain-length=10\n")
-        code, out, _ = run(capsys, "series", "--config", str(cfg))
-        assert code == 0
-        assert "f0 = (1/20)*eta^2" in out
+        for encoding in ("utf-8", "utf-8-sig"):  # the second writes a byte-order mark
+            cfg.write_text("order=0\ndomain-length=10\n", encoding=encoding)
+            code, out, _ = run(capsys, "series", "--config", str(cfg))
+            assert code == 0, encoding
+            assert "f0 = (1/20)*eta^2" in out
 
     def test_explicit_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -826,9 +826,9 @@ print(json.dumps([immutable, refused,
 
     def test_a_build_at_a_known_epsilon_does_not_wait_for_another_to_grow(
             self, fresh_python):
-        """A theta table grows outside the lock.  Thread A's growth of a new
-        eps is held inside ``_grown_theta`` until released; meanwhile a build
-        at a known eps whose table is not the newest must still finish, and
+        """Thread A's growth of a new eps is held inside ``_grown_theta``
+        until released; meanwhile a build at a known eps whose table is not
+        the newest must still finish, while A still holds ``_growing``, and
         both documents are the cold ones."""
         script = """
 import threading
@@ -855,6 +855,7 @@ held = entered.wait(60)
 known.start()
 known.join(timeout=30)
 finished_while_held = not known.is_alive() and not release.is_set()
+locked_when_finished = hpm._growing.locked()
 release.set()
 growing.join(timeout=60)
 known.join(timeout=60)
@@ -862,10 +863,43 @@ serial = cold()
 print(json.dumps([held, finished_while_held, growing.is_alive(), known.is_alive(),
                   [documents.get(c) == document(serial, *c)
                    for c in ((12, 5, Fraction(1, 3)), (12, 7, 1))],
-                  [str(eps) for eps in hpm._theta_tables]]))
+                  [str(eps) for eps in hpm._theta_tables], locked_when_finished]))
 """
-        expected = [True, True, False, False, [True, True], ["1", "1/2", "1/3"]]
+        expected = [True, True, False, False, [True, True], ["1", "1/2", "1/3"], True]
         assert run_fresh(fresh_python, script) == expected
+
+    def test_threads_growing_one_new_epsilon_grow_it_once(self, fresh_python):
+        """With the table of powers of z warm, four threads that build order
+        60 at one new eps at once grow its theta table once, and each
+        document is the cold one."""
+        script = """
+import threading
+document(hpm, 60, 5, 1)
+growths = []
+grown = hpm._grown_theta
+
+def counted_growth(*args):
+    growths.append(args[2])
+    return grown(*args)
+
+hpm._grown_theta = counted_growth
+config = (60, 5, Fraction(1, 7))
+documents, barrier = [], threading.Barrier(4, timeout=60)
+
+def build():
+    barrier.wait()
+    documents.append(document(hpm, *config))
+
+threads = [threading.Thread(target=build) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+expected = document(cold(), *config)
+print(json.dumps([[str(eps) for eps in growths], len(documents),
+                  all(built == expected for built in documents)]))
+"""
+        assert run_fresh(fresh_python, script) == [["1/7"], 4, True]
 
     def test_a_build_that_finds_its_rows_takes_no_lock(self, fresh_python):
         """While another thread holds ``_growing``, a build at a known eps
