@@ -247,8 +247,19 @@ class RationalPolynomial:
         """
         plan = self._float_terms
         if plan is None:
-            descending = sorted(self._coeffs.items(), reverse=True)
-            plan = self._plan([(p, float(c)) for p, c in descending] or [(0, 0.0)])
+            descending = []
+            for power, c in sorted(self._coeffs.items(), reverse=True):
+                try:
+                    descending.append((power, float(c)))
+                except OverflowError:
+                    # log10 |c| from bit lengths: str() of these ints is the slow way
+                    num, den = abs(c.numerator), c.denominator
+                    bits = num.bit_length() - den.bit_length()
+                    tens = math.floor(bits * math.log10(2) + math.log10(num / (den << bits)))
+                    raise OverflowError(
+                        f"the coefficient of eta^{power} is about 10^{tens} in magnitude"
+                    ) from None
+            plan = self._plan(descending or [(0, 0.0)])
             self._float_terms = plan
         # no ndarray exists before numpy is imported, so a scalar needs no import
         np = loaded_numpy()

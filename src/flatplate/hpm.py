@@ -150,11 +150,12 @@ class HpmSeries(_Record):
 # and 1/J has the coefficients r_i = R_i / (2p)^i, where R_i are those of the
 # reciprocal of sum_k E_k w^k / (3k+1)!.
 Correction = tuple[tuple[int, int], ...]  # (a_m, b_m) in lowest terms, slot m = 0..j
+Corrections = tuple[Correction, ...]  # orders 0..n of f or of theta
 PowerRow = tuple[tuple[int, ...], int]
 # (-1)^k A_k, rows 0..n of powers of z, and f_0..f_(n-1) at L = 1
-Table = tuple[tuple[int, ...], tuple[PowerRow, ...], tuple[Correction, ...]]
+Table = tuple[tuple[int, ...], tuple[PowerRow, ...], Corrections]
 ThetaWeights = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # E, R over their denominators
-ThetaTable = tuple[ThetaWeights, tuple[Correction, ...]]  # weights, theta_0..theta_n
+ThetaTable = tuple[ThetaWeights, Corrections]  # weights, theta_0..theta_n
 
 # The L-free half of the engine, shared by every build in the process, in
 # two parts, kept by one rule.  Nothing in it depends on which builds grew
@@ -259,7 +260,7 @@ def _grown(table: Table, top: int) -> Table:
     return tuple(signed), tuple(rows), tuple(unit_f)
 
 
-def _shared_theta(top: int, epsilon: Fraction) -> tuple[Correction, ...]:
+def _shared_theta(top: int, epsilon: Fraction) -> Corrections:
     """The shared theta_0..theta_top at L = 1 (at least) for ``epsilon``,
     grown first if it is shorter (see the comment above ``_table``).
 
@@ -336,25 +337,13 @@ def _theta_correction(j: int, powers: PowerRow, weights: ThetaWeights, two_p: in
                    falling[0] * power * common * den)
 
 
+# bench/tracer.py Tracer.installed() reads both names with getattr; no build
+# calls them.  ROADMAP items 7 and 12 move the tracer and then delete them.
 def recurrence_step_f(j: int, unit_f: Sequence[Correction]) -> Correction:
-    """Order-j momentum correction at L = 1, read from ``unit_f``, the f
-    corrections of the shared table (see ``_f_correction`` for how each is
-    derived).
-
-    The name is that of the convolution recurrence step this reader
-    replaced: bench/tracer.py times it by name (span hpm.recurrence_f), and
-    a traced run needs the same counts in every round, so every build calls
-    it once per order j >= 1, however warm the shared table is.
-    """
     return unit_f[j]
 
 
 def recurrence_step_theta(j: int, thetas: Sequence[Correction]) -> Correction:
-    """Order-j temperature correction at L = 1, read from ``thetas``, the
-    shared theta table of one eps (see ``_theta_correction``).  The name is
-    kept, and called once per order, for the same reason as that of
-    ``recurrence_step_f`` (span hpm.recurrence_theta).
-    """
     return thetas[j]
 
 
@@ -394,21 +383,15 @@ def _powers(base: int, top: int) -> list[int]:
     return powers
 
 
-def _unit_corrections(order: int, epsilon: Fraction) -> tuple[list[Correction], list[Correction]]:
+def _unit_corrections(order: int, epsilon: Fraction) -> tuple[Corrections, Corrections]:
     """The f and theta corrections 0..order at L = 1: the L-free half of a
-    build, as fresh lists of the shared, immutable corrections.
+    build, as slices of the shared, immutable tuples.
 
-    Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  Every later order is
-    read from the f corrections of the shared table and from the shared
-    theta table of ``epsilon``, each derived first up to this order if it is
-    shorter, through its ``recurrence_step_*`` reader, once per order.
+    Order 0 is f_0 = eta^2/2 and theta_0 = 1 - eta.  The f corrections come
+    from the shared table and the theta corrections from the shared theta
+    table of ``epsilon``, each derived first up to this order if it is shorter.
     """
-    unit_f, thetas = _shared_table(order + 1)[2], _shared_theta(order, epsilon)
-    f_list, theta_list = [unit_f[0]], [thetas[0]]
-    for j in range(1, order + 1):
-        theta_list.append(recurrence_step_theta(j, thetas))
-        f_list.append(recurrence_step_f(j, unit_f))
-    return f_list, theta_list
+    return _shared_table(order + 1)[2][: order + 1], _shared_theta(order, epsilon)[: order + 1]
 
 
 def build_series(config: HpmConfig) -> HpmSeries:

@@ -129,8 +129,9 @@ def compare(
     if not math.isfinite(probe_eta):
         raise ValueError(f"probe eta must be finite, got {probe_eta!r}")
     traj = shot.trajectory
+    L = _float_of(series.config.L, "the domain length")
     if with_theta:
-        epsilon = float(series.config.epsilon)
+        epsilon = _float_of(series.config.epsilon, "epsilon")
         if epsilon == 0.0:  # HpmConfig holds the exact epsilon > 0
             raise ValueError("epsilon underflows to 0.0 as a float, and theta needs it positive")
         # theta_profile loads numpy, so every column below is an array
@@ -139,7 +140,6 @@ def compare(
     np = _format.loaded_numpy()
     f_sum = series.partial_sum("f")
     fprime_series = f_sum.derivative()
-    L = float(series.config.L)
     if np is None:
         fprime_num = [_interp(x, traj.eta, traj.fp, 1.0) for x in eta]
         rows = list(zip(eta, fprime_num, fprime_series.eval_float(eta)))
@@ -171,6 +171,14 @@ def compare(
     extrapolated_from = eta_max if grid.stop > eta_max else None
     return ComparisonReport(rows, max_dev_inside, dev_at_probe, probe_eta, shot.s_star,
                             s_hpm_exact, L, extrapolated_from)
+
+
+def _float_of(value: Fraction, name: str) -> float:
+    """float(value), or a ValueError that names ``name`` when it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} overflows as a float") from None
 
 
 def _interp(x: float, xp: Sequence[float], fp: Sequence[float], right: float) -> float:

@@ -263,19 +263,17 @@ def solve_shooting(settings: IntegratorSettings = IntegratorSettings()) -> Shoot
     """
     s_star = _scaled_root(settings)
     _, _, fp_end, fpp_end = deque(_march(s_star, _steps(settings)[1]), maxlen=1).pop()
-    s_star = _newton(s_star, fp_end, fpp_end, settings)
-    trajectory = integrate_blasius(s_star, settings)
-    residual, passes = abs(float(trajectory.fp[-1]) - 1.0), 2
-    if residual > settings.shoot_tol:
-        s_star = _newton(s_star, trajectory.fp[-1], trajectory.fpp[-1], settings)
+    for passes in (2, 3):
+        s_star = _newton(s_star, fp_end, fpp_end, settings)
         trajectory = integrate_blasius(s_star, settings)
-        residual, passes = abs(float(trajectory.fp[-1]) - 1.0), 3
-    if residual > settings.shoot_tol:
-        raise ConvergenceError(
-            f"far-boundary residual {residual:.3g} exceeds shoot_tol {settings.shoot_tol:.3g}"
-        )
-    return ShootingResult(s_star=s_star, trajectory=trajectory, residual=residual,
-                          iterations=passes)
+        fp_end, fpp_end = trajectory.fp[-1], trajectory.fpp[-1]
+        residual = abs(float(fp_end) - 1.0)
+        if residual <= settings.shoot_tol:
+            return ShootingResult(s_star=s_star, trajectory=trajectory, residual=residual,
+                                  iterations=passes)
+    raise ConvergenceError(
+        f"far-boundary residual {residual:.3g} exceeds shoot_tol {settings.shoot_tol:.3g}"
+    )
 
 
 def theta_profile(trajectory: Trajectory, epsilon: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,18 @@ def tracer_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def run_benchmark_copy(tmp_path):
+    """Run a bench/ script, ``python *argv``, on a copy of src/, bench/ and
+    BENCHMARK.json in tmp_path, so the run leaves nothing in the checkout."""
+    for part in ("src", "bench"):
+        shutil.copytree(_SRC.parent / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(_SRC.parent / "BENCHMARK.json", tmp_path)
+    return lambda *argv: subprocess.run([sys.executable, *argv], cwd=tmp_path,
+                                        capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture

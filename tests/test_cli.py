@@ -338,6 +338,24 @@ class TestCompareCommand:
         proc = fresh_cli(*argv)  # without numpy: the stdlib kernels
         assert (proc.returncode, proc.stderr) == (2, expected)
 
+    @pytest.mark.parametrize("argv, named", [
+        (("compare", "--with-theta", "--epsilon", "1e400"), "epsilon"),
+        (("compare", "--domain-length", "1e400"), "domain length"),
+        (("compare", "--domain-length", "1e-300"), "eta^"),
+        (("compare", "--with-theta", "--epsilon", "1e-300"), "eta^"),
+        (("compare", "--order", "60", "--domain-length", "1e10"), "eta^"),
+        (("figure", "--svg", "out.svg", "--domain-length", "1e200"), "eta^"),
+    ])
+    def test_float_overflow_names_what_overflowed(self, capsys, tmp_path, monkeypatch,
+                                                  argv, named):
+        # a Fraction's float overflows with "integer division result too large
+        # for a float", which names neither the value nor where it came from
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+        assert not (tmp_path / "out.svg").exists()
+
     def test_probe_deviation_reported(self, capsys):
         code, out, _ = run(capsys, "compare", "--probe", "10")
         assert code == 0

@@ -13,11 +13,7 @@ import json
 import math
 import pickle
 import re
-import shutil
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -442,9 +438,9 @@ def slotwise(nums, den):
 
 
 def slotwise_lists(f_list, theta_list):
-    """Dense f and theta correction lists slot by slot, as ``_unit_corrections``
-    returns them."""
-    return [slotwise(*c) for c in f_list], [slotwise(*c) for c in theta_list]
+    """Dense f and theta correction lists slot by slot, as the tuples
+    ``_unit_corrections`` returns."""
+    return tuple(slotwise(*c) for c in f_list), tuple(slotwise(*c) for c in theta_list)
 
 
 def convolve(left, right):
@@ -547,64 +543,63 @@ def test_wall_slopes_match_the_lagrange_inversion():
         assert slots[:1] == slotwise([wall.numerator], wall.denominator), j
 
 
-def test_benchmark_tracer_still_sees_the_engine(tracer_module):
-    """bench/tracer.py wraps both recurrence steps and build_series by name, so
-    the build must reach them through the module globals to be traced.  A
-    traced run needs the same counts in every round, so a build that finds
-    the shared table warm still calls each reader once per order."""
-    names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
-    for _ in range(2):
-        tracer = tracer_module.Tracer()
-        with tracer.installed():
-            hpm.build_series(HpmConfig(order=5))
-        assert hpm.build_series is build_series
-        metrics = tracer.metrics()
-        assert {name: metrics.get(name) for name in names} == dict(zip(names, (5, 5, 1)))
+def test_benchmark_tracer_still_sees_the_engine(fresh_python, tracer_module):
+    """bench/tracer.py wraps build_series by name, so the build must reach it
+    through the module globals to be traced.  A traced run needs the same
+    counts in every round, so three traced order-12 builds in one process
+    must count alike: one on cold tables, one with the z table warm at a
+    new L and a new eps, and one at a known eps.  No build calls the
+    reader names the tracer also wraps."""
+    script = f"""
+spec = importlib.util.spec_from_file_location("bench_tracer", {tracer_module.__file__!r})
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+original = hpm.build_series
+grown, counts = [], []
+for L, eps in ((5, 1), (10, Fraction(7, 10)), (Fraction(7, 2), Fraction(7, 10))):
+    grown.append([len(hpm._table[1]), len(hpm._theta_tables.get(eps, ((), ()))[1])])
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        hpm.build_series(hpm.HpmConfig(12, Fraction(L), eps))
+    counts.append(dict(tracer.counts))
+print(json.dumps([grown, counts, hpm.build_series is original]))
+"""
+    grown, counts, restored = run_fresh(fresh_python, script)
+    assert grown == [[2, 0], [14, 0], [14, 13]]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["hpm.build_series_calls"] == 1
+    assert not [name for name in counts[0] if name.startswith("hpm.recurrence_")], counts[0]
+    assert restored
 
 
-def test_benchmark_tracer_sees_each_reader_once_per_order_at_a_warm_epsilon(tracer_module):
-    """The f corrections and the theta table of an eps are kept across
-    builds, so a build at a new L finds every correction ready; it must
-    still call each reader once per order, in every round of a traced run."""
-    names = ("hpm.recurrence_f_calls", "hpm.recurrence_theta_calls", "hpm.build_series_calls")
-    eps = Fraction(7, 10)
-    hpm.build_series(HpmConfig(order=12, epsilon=eps))
-    for L in (Fraction(10), Fraction(7, 2)):
-        tracer = tracer_module.Tracer()
-        with tracer.installed():
-            hpm.build_series(HpmConfig(order=12, L=L, epsilon=eps))
-        metrics = tracer.metrics()
-        assert {name: metrics.get(name) for name in names} == dict(zip(names, (12, 12, 1)))
-
-
-def run_benchmark_copy(tmp_path, *argv):
-    """Run a bench/ script on a copy of src/, bench/ and BENCHMARK.json in
-    ``tmp_path``, so the run leaves nothing in the checkout."""
-    root = Path(__file__).resolve().parents[1]
-    for part in ("src", "bench"):
-        shutil.copytree(root / part, tmp_path / part,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(root / "BENCHMARK.json", tmp_path)
-    return subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True,
-                          timeout=300)
-
-
-def test_traced_series_ladder_run_has_no_failed_op(tmp_path):
+def test_traced_series_ladder_run_has_no_failed_op(run_benchmark_copy):
     """A traced run replays the same ops in every round and fails an op whose
-    per-layer counts differ from round 0, so a memo that skips a reader on a
-    warm build shows here."""
-    proc = run_benchmark_copy(tmp_path, "bench/run.py", "--workload", "series_ladder",
+    per-layer counts differ from round 0, so a memo that skips a traced
+    call on a warm build shows here."""
+    proc = run_benchmark_copy("bench/run.py", "--workload", "series_ladder",
                               "--seed", "1", "--seconds", "2", "--trace", "1")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == 0 and result["attempted"] > 0, result
 
 
-def test_benchmark_selftest_passes(tmp_path):
+@pytest.mark.parametrize("workload", ["cli_paper", "profile_export"])
+def test_traced_run_has_no_failed_op(run_benchmark_copy, workload):
+    """The tracer reads every name it wraps on the program's modules, so a
+    change to src/ that removes or renames one, or makes a round count
+    differently, fails a traced run of these workloads too."""
+    proc = run_benchmark_copy("bench/run.py", "--workload", workload,
+                              "--seed", "1", "--seconds", "2", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0, result
+
+
+def test_benchmark_selftest_passes(run_benchmark_copy):
     """The benchmark's output checks pass the program's real outputs and fail
     corrupted ones, and every workload prints its metrics; so a change to
     src/ that breaks an output check fails here."""
-    proc = run_benchmark_copy(tmp_path, "bench/selftest.py")
+    proc = run_benchmark_copy("bench/selftest.py")
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
 
 
@@ -798,31 +793,38 @@ print(json.dumps([cap, sizes, held == epsilons[-cap:], after_warm == held,
         assert checks == [True] * 5
 
     def test_a_caller_cannot_change_a_later_build(self, fresh_python):
-        """``_unit_corrections`` returns fresh lists of immutable corrections:
-        changing the lists leaves the shared corrections as they were, and a
-        correction or its slots cannot be changed at all."""
+        """``_unit_corrections`` returns the shared corrections themselves, as
+        tuples: neither part, no correction and no slot can be assigned,
+        appended to or deleted from, so a later build is the cold one."""
         script = """
 eps = Fraction(7, 10)
 f_list, theta_list = hpm._unit_corrections(12, eps)
-immutable = all(type(c) is tuple and all(type(slot) is tuple and len(slot) == 2
-                                         and all(type(x) is int for x in slot) for slot in c)
-                for c in f_list + theta_list)
+immutable = type(f_list) is tuple and type(theta_list) is tuple and all(
+    type(c) is tuple and all(type(slot) is tuple and len(slot) == 2
+                             and all(type(x) is int for x in slot) for slot in c)
+    for c in f_list + theta_list)
+
+def assign(target):
+    target[0] = target[-1]
+
+def append(target):
+    target[len(target):] = target[:1]
+
+def delete(target):
+    del target[0]
+
 refused = 0
-for target, value in ((f_list[3], (1, 1)), (theta_list[5][1], 7)):
-    try:
-        target[0] = value
-    except TypeError:
-        refused += 1
-f_list[7] = ((1, 1),)
-theta_list[5] = ()
-theta_list.append(((1, 1),))
-del f_list[2]
-f_again, theta_again = hpm._unit_corrections(12, eps)
+for change in (assign, append, delete):
+    for target in (f_list, theta_list, f_list[3], theta_list[5][1]):
+        try:
+            change(target)
+        except TypeError:
+            refused += 1
 print(json.dumps([immutable, refused,
                   document(hpm, 12, 5, eps) == document(cold(), 12, 5, eps),
-                  (f_again, theta_again) == cold()._unit_corrections(12, eps)]))
+                  hpm._unit_corrections(12, eps) == cold()._unit_corrections(12, eps)]))
 """
-        assert run_fresh(fresh_python, script) == [True, 2, True, True]
+        assert run_fresh(fresh_python, script) == [True, 12, True, True]
 
     def test_a_build_at_a_known_epsilon_does_not_wait_for_another_to_grow(
             self, fresh_python):
