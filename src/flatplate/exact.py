@@ -14,7 +14,9 @@ and ``RationalPolynomial._of`` adopts a dict of nonzero canonical Fractions
 keyed by int powers; ``derivative``, ``_summed`` and the series engine of
 ``flatplate.hpm`` call them, on numbers they have just reduced.  ``_summed``
 is the one exact sum of terms: ``+``, the product of two polynomials and
-``HpmSeries.partial_sum`` all call it.
+``HpmSeries.partial_sum`` all call it.  ``_float_of`` is the one converter
+from an exact value to a float: ``eval_float`` and ``flatplate.report`` call
+it, and its OverflowError names what overflowed.
 
 Every value here is immutable, so values may be shared freely across
 threads.  A polynomial caches one derived value, the Horner plan that float
@@ -61,29 +63,32 @@ def _reduced(num: int, den: int) -> Fraction:
 
 def _summed(terms: Iterable[tuple[int, Fraction]]) -> RationalPolynomial:
     """The polynomial sum of (power, coefficient) terms, each coefficient a
-    nonzero canonical Fraction and powers repeating freely: one lcm and one
-    gcd per power of three or more terms, not one per addition, and a zero
-    sum is dropped.  A pair goes through ``Fraction.__add__``, whose second
-    gcd is against gcd(b, d) only, not against the full lcm."""
+    nonzero canonical Fraction and powers repeating freely: each power is
+    summed over the lcm of its denominators, with one gcd, not one per
+    addition, and a zero sum is dropped."""
     by_power: dict[int, list[Fraction]] = {}
     for power, coeff in terms:
         by_power.setdefault(power, []).append(coeff)
     sums = {}
     for power, coeffs in by_power.items():
-        if len(coeffs) == 1:  # already in lowest terms
-            sums[power] = coeffs[0]
-            continue
-        if len(coeffs) == 2:
-            total = coeffs[0] + coeffs[1]
-            if total:
-                sums[power] = total
-            continue
         den = math.lcm(*(c.denominator for c in coeffs))
         num = sum(c.numerator * (den // c.denominator) for c in coeffs)
         if num:
             g = math.gcd(num, den)
             sums[power] = _reduced(num // g, den // g)
     return RationalPolynomial._of(sums)
+
+
+def _float_of(value: Fraction, what: str) -> float:
+    """float(value), or an OverflowError that names ``what`` and its power of
+    ten, from bit lengths: str() of these ints is the slow way."""
+    try:
+        return float(value)
+    except OverflowError:
+        num, den = abs(value.numerator), value.denominator
+        bits = num.bit_length() - den.bit_length()
+        tens = math.floor(bits * math.log10(2) + math.log10(num / (den << bits)))
+        raise OverflowError(f"{what} is about 10^{tens} in magnitude") from None
 
 
 def as_rational(value: RationalLike, flag: str | None = None) -> Fraction:
@@ -243,33 +248,29 @@ class RationalPolynomial:
         evaluations; any other ``x`` gives a float.  A call raises ``x`` to a
         new power only where the gap between powers changes (see ``_plan``);
         the plan, with the rounded coefficients, is made on the first call
-        and reused.
+        and reused.  A power of a point that overflows raises OverflowError
+        naming the degree and the largest |x| of the call.
         """
         plan = self._float_terms
         if plan is None:
-            descending = []
-            for power, c in sorted(self._coeffs.items(), reverse=True):
-                try:
-                    descending.append((power, float(c)))
-                except OverflowError:
-                    # log10 |c| from bit lengths: str() of these ints is the slow way
-                    num, den = abs(c.numerator), c.denominator
-                    bits = num.bit_length() - den.bit_length()
-                    tens = math.floor(bits * math.log10(2) + math.log10(num / (den << bits)))
-                    raise OverflowError(
-                        f"the coefficient of eta^{power} is about 10^{tens} in magnitude"
-                    ) from None
-            plan = self._plan(descending or [(0, 0.0)])
-            self._float_terms = plan
+            descending = [(power, _float_of(c, f"the coefficient of eta^{power}"))
+                          for power, c in sorted(self._coeffs.items(), reverse=True)]
+            plan = self._float_terms = self._plan(descending or [(0, 0.0)])
         # no ndarray exists before numpy is imported, so a scalar needs no import
         np = loaded_numpy()
-        if np is not None and isinstance(x, np.ndarray):
-            # inf and nan arise silently in the scalar path too
-            with np.errstate(over="ignore", invalid="ignore"):
-                return self._horner(plan, _GridPowers(x))
-        if isinstance(x, list):
-            return [self._horner(plan, float(v)) for v in x]
-        return self._horner(plan, float(x))
+        try:
+            if np is not None and isinstance(x, np.ndarray):
+                # inf and nan arise silently in the scalar path too
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return self._horner(plan, _GridPowers(x))
+            if isinstance(x, list):
+                return [self._horner(plan, float(v)) for v in x]
+            return self._horner(plan, float(x))
+        except OverflowError:  # float ** int names neither the power nor the point
+            points = x if isinstance(x, list) else [x] if np is None else np.ravel(x).tolist()
+            top = max(abs(float(v)) for v in points if v == v)
+            raise OverflowError(
+                f"eta^{max(self._coeffs)} overflows at |eta| up to {top:g}") from None
 
     # -- comparisons / display -----------------------------------------------
 

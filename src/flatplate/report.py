@@ -30,10 +30,12 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
+    from .hpm import HpmSeries
+
 from . import _format
 from ._format import CHUNK_ROWS, round_half_up
 from ._record import _Record
-from .hpm import HpmSeries
+from .exact import _float_of
 from .shooting import MAX_STEPS, ShootingResult, theta_profile
 
 # Quoted 7-digit wall-slope value the numerical result is checked against in
@@ -171,14 +173,6 @@ def compare(
     extrapolated_from = eta_max if grid.stop > eta_max else None
     return ComparisonReport(rows, max_dev_inside, dev_at_probe, probe_eta, shot.s_star,
                             s_hpm_exact, L, extrapolated_from)
-
-
-def _float_of(value: Fraction, name: str) -> float:
-    """float(value), or a ValueError that names ``name`` when it overflows."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} overflows as a float") from None
 
 
 def _interp(x: float, xp: Sequence[float], fp: Sequence[float], right: float) -> float:

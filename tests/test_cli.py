@@ -330,9 +330,10 @@ class TestCompareCommand:
         assert err.startswith("error: out of float range") and err.count("\n") == 1
 
     def test_float_overflow_prints_the_message(self, capsys, fresh_cli):
-        # float ** int raises OverflowError((34, 'Numerical result out of range'))
+        # float ** int raises OverflowError((34, 'Numerical result out of range')),
+        # which names neither the power of the default f' nor the grid point
         argv = ("compare", "--eta-max", "6", "--step", "0.01", "--grid", "0:1e300:1e299")
-        expected = "error: out of float range: Numerical result out of range\n"
+        expected = "error: out of float range: eta^10 overflows at |eta| up to 1e+300\n"
         code, _, err = run(capsys, *argv)
         assert (code, err) == (2, expected)
         proc = fresh_cli(*argv)  # without numpy: the stdlib kernels

@@ -1,6 +1,7 @@
 """Exact rational and polynomial algebra: frozen examples plus ring properties."""
 
 import copy
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -308,11 +309,15 @@ class TestArrayEvalFloat:
         assert type(TARGET_POLY.eval_float(x)) is float
 
     def test_overflow_raises_as_in_the_scalar_path(self):
+        # each path names the degree and the largest |eta|, nan left out
+        named = r"^eta\^11 overflows at \|eta\| up to 1e\+300$"
         for poly in (fresh(TARGET_POLY), TARGET_POLY):  # cold, then warm
-            with pytest.raises(OverflowError):
-                poly.eval_float(1e300)
-            with pytest.raises(OverflowError):
-                poly.eval_float(np.array([0.0, 1.0, 1e300]))
+            with pytest.raises(OverflowError, match=named):
+                poly.eval_float(-1e300)
+            with pytest.raises(OverflowError, match=named):
+                poly.eval_float([0.0, math.nan, 1e300, 1.0])
+            with pytest.raises(OverflowError, match=named):
+                poly.eval_float(np.array([0.0, math.nan, 1.0, 1e300]))
 
     @given(polynomials, st.lists(st.floats(width=64), max_size=12))
     def test_any_polynomial_and_points(self, p, xs):

@@ -85,11 +85,18 @@ def test_every_written_file_is_closed_when_main_returns(tmp_path, capsys, argv):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+# every default run, plus the with-theta runs: numpy's kernels and theta's
+# exp run only there, so a warning they raise shows only there
 DEFAULT_RUNS = {
     "series-json": ["series", "--format", "json", "--out", "series.json"],
     "compare-csv": ["compare", "--csv", "compare.csv"],
     "figure-svg": ["figure", "--svg", "figure.svg"],
     "shoot-trajectory": ["shoot", "--trajectory-out", "trajectory.csv"],
+    "series": ["series"],
+    "shoot": ["shoot"],
+    "compare-with-theta": ["compare", "--with-theta", "--csv", "theta.csv"],
+    "compare-with-theta-fine-grid": ["compare", "--order", "12", "--with-theta", "--eta-max", "12",
+                                     "--grid", "0:12:0.001", "--csv", "theta.csv"],
 }
 
 
@@ -97,3 +104,4 @@ DEFAULT_RUNS = {
 def test_default_runs_raise_no_warning_in_development_mode(fresh_python, argv):
     proc = fresh_python("-X", "dev", "-W", "error", "-m", "flatplate", *argv)
     assert (proc.returncode, proc.stderr) == (0, "")
+

@@ -9,6 +9,7 @@ independent of the code path it checks.
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 import pickle
@@ -541,6 +542,63 @@ def test_wall_slopes_match_the_lagrange_inversion():
     for j, slots in enumerate(f_list):
         wall = z[j + 1] / 2
         assert slots[:1] == slotwise([wall.numerator], wall.denominator), j
+
+
+def power_series_product(left, right):
+    """The first len(left) coefficients of the product of two power series."""
+    return [sum(left[i] * right[n - i] for i in range(n + 1)) for n in range(len(left))]
+
+
+def heat_weights(count, epsilon):
+    """d_0..d_(count-1) of J(w) = sum_k d_k w^k, where exp(-Phi(xi)/(2 eps)) =
+    sum_k e_k xi^(3k) for Phi the integral of Blasius's F from 0, and
+    d_k = e_k/(3k+1).  In u = xi^3 the exponent is g(u) = -sum_k c_k
+    u^(k+1) / (2 eps (3k+3)), with c_k = b_(3k+2), and exp(g) has
+    n e_n = sum_(m=1..n) m g_m e_(n-m)."""
+    b = blasius_coefficients(3 * count)
+    g = [Fraction(0)] + [-b[3 * k + 2] / (2 * epsilon * (3 * k + 3)) for k in range(count - 1)]
+    e = [Fraction(1)]
+    for n in range(1, count):
+        e.append(sum(m * g[m] * e[n - m] for m in range(1, n + 1)) / n)
+    return [e_k / (3 * k + 1) for k, e_k in enumerate(e)]
+
+
+@functools.cache
+def lagrange_z_powers(order):
+    """[lambda^n] z^m for m, n = 0..order+1, each z^m as a list in n."""
+    z = lagrange_z(order + 2)
+    powers = [[Fraction(1)] + [Fraction(0)] * (order + 1)]
+    for _ in range(order + 1):
+        powers.append(power_series_product(powers[-1], z))
+    return powers
+
+
+def closed_form_corrections(order, epsilon):
+    """f_j and theta_j at L = 1, j = 0..order, slot by slot from the closed
+    form of the hpm docstring, with the constant 1 of theta_0 left out:
+    slot k of f_j is c_k [lambda^(j+1)] z^(k+1), and slot k of theta_j is
+    -d_k [lambda^j] z^k / J(z) = -d_k sum_i r_i [lambda^j] z^(k+i), where
+    1/J = sum_i r_i w^i.  Shares no code with hpm."""
+    b = blasius_coefficients(3 * order + 3)
+    d = heat_weights(order + 1, epsilon)
+    r = [1 / d[0]]
+    for n in range(1, order + 1):
+        r.append(-sum(d[k] * r[n - k] for k in range(1, n + 1)) / d[0])
+    z = lagrange_z_powers(order)
+    f_list = [[b[3 * k + 2] * z[k + 1][j + 1] for k in range(j + 1)] for j in range(order + 1)]
+    theta_list = [[-d[k] * sum(r[i] * z[k + i][j] for i in range(j - k + 1))
+                   for k in range(j + 1)] for j in range(order + 1)]
+    return f_list, theta_list
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(7, 10), Fraction(1, 7)])
+def test_every_slot_matches_the_closed_form(epsilon):
+    """Every slot of f_j and theta_j at L = 1, j <= 25, from Blasius's series
+    and Lagrange inversion built here (ROADMAP item 1)."""
+    expected = tuple(tuple(tuple((c.numerator, c.denominator) for c in slots)
+                           for slots in corrections)
+                     for corrections in closed_form_corrections(25, epsilon))
+    assert hpm._unit_corrections(25, epsilon) == expected
 
 
 def test_benchmark_tracer_still_sees_the_engine(fresh_python, tracer_module):
@@ -1096,6 +1154,86 @@ class TestTruncatedDomainOracle:
         assert gaps[12] < 7e-6
         assert gaps[25] < 2e-11
         assert gaps[25] < gaps[12]
+
+    # The paper's claim, measured: the series solves the problem truncated
+    # at L, and its partial sums converge only inside the radius L_c = 5.3536
+    # of the fold (ROADMAP item 1).  Each bound comes from a sweep recorded
+    # in CHANGES.md.
+
+    @staticmethod
+    def wall_slopes(series, orders):
+        """{N: f''(0) of the order-N partial sum} as floats."""
+        return {n: float(2 * series.partial_sum("f", up_to=n).coefficient(2)) for n in orders}
+
+    @staticmethod
+    def wall_fluxes(series, orders):
+        """{N: -theta'(0) of the order-N partial sum} as floats."""
+        return {n: -float(series.partial_sum("theta", up_to=n).coefficient(1)) for n in orders}
+
+    def test_inside_the_radius_the_series_is_the_truncated_problem(self):
+        """Measured 1.7e-16 at orders 30, 45 and 60."""
+        slopes = self.wall_slopes(build_series(HpmConfig(order=60, L=Fraction(3))), (30, 60))
+        oracle = solve_shooting(IntegratorSettings(eta_max=3.0)).s_star
+        for order, slope in slopes.items():
+            assert abs(slope - oracle) < 1e-13, order
+
+    @pytest.mark.parametrize("L, last_gap", [(6, 100.0), (10, 1e28)])
+    def test_beyond_the_radius_the_partial_sums_diverge(self, L, last_gap):
+        """Measured |s_N(L) - s(L)| at N = 20, 30, 40, 50 and 60: 9.2e-2,
+        0.88, 4.97, 12.0 and 128 at L = 6; 7.2e7, 1.1e13, 8.4e17, 1.1e23 and
+        6.6e28 at L = 10."""
+        orders = (20, 30, 40, 50, 60)
+        slopes = self.wall_slopes(build_series(HpmConfig(order=60, L=Fraction(L))), orders)
+        oracle = solve_shooting(IntegratorSettings(eta_max=float(L))).s_star
+        gaps = [abs(slopes[n] - oracle) for n in orders]
+        assert gaps == sorted(gaps) and gaps[-1] > last_gap, gaps
+
+    def test_the_order_error_at_the_papers_domain_turns_every_three_orders(self):
+        """arg lambda* = 58.2 degrees, so the sign of s_N(5) - s(5) turns
+        every three orders."""
+        slopes = self.wall_slopes(build_series(HpmConfig(order=13)), range(1, 14))
+        oracle = solve_shooting(IntegratorSettings(eta_max=5.0)).s_star
+        signs = "".join("+" if slopes[n] > oracle else "-" for n in range(1, 14))
+        assert signs == "-+++---+++---"
+
+    def test_error_budget_of_the_papers_wall_slope(self):
+        """At L = 5 and order 3 the gap to s(inf), Boyd's f''(0), splits into
+        the order truncation s_3(5) - s(5), measured 0.0123536, and the
+        domain truncation s(5) - s(inf), measured 0.0040950.  Measured
+        s(5) = 0.336152343904533, with steps 1e-3 and 5e-4 2.8e-15 apart."""
+        paper = self.wall_slopes(build_series(HpmConfig(order=3)), (3,))[3]
+        coarse, fine = (solve_shooting(IntegratorSettings(eta_max=5.0, step=h)).s_star
+                        for h in (1e-3, 5e-4))
+        assert abs(coarse - fine) < 3e-14
+        assert fine == pytest.approx(0.336152343904533, abs=1e-14)
+        assert paper - fine == pytest.approx(0.0123536, abs=1e-7)
+        assert fine - BOYD_SLOPE == pytest.approx(0.0040950, abs=1e-7)
+
+    def test_the_papers_heat_flux_has_the_wrong_sign(self):
+        """Pr = 7 (eps = 1/7) at L = 5: the paper's order-3 series gives
+        -theta'(0) = -1.39627, so heat flows into the wall, where the
+        truncated problem gives +0.648566.  L_c is about 3.16 here, so the
+        partial sums diverge: measured -1254.99, -5.633e9 and 6.750e22 at
+        orders 10, 30 and 60."""
+        series = build_series(HpmConfig(order=60, epsilon=Fraction(1, 7)))
+        flux = self.wall_fluxes(series, (3, 10, 30, 60))
+        assert self.wall_flux(5.0, 1 / 7, 1e-3) == pytest.approx(0.648566, abs=1e-6)
+        assert flux[3] == pytest.approx(-1.39627, abs=1e-5)
+        assert flux[10] == pytest.approx(-1254.99, rel=1e-4)
+        assert flux[30] == pytest.approx(-5.633e9, rel=1e-3)
+        assert flux[60] == pytest.approx(6.750e22, rel=1e-3)
+
+    def test_at_prandtl_2_the_heat_flux_converges_to_the_truncated_problem(self):
+        """Pr = 2 (eps = 1/2) at L = 5, inside L_c: measured gaps 2.7e-3,
+        1.4e-5 and 8.9e-8 at orders 10, 30 and 60 to the truncated
+        problem's 0.4241449; the order-60 sum is 0.424145."""
+        series = build_series(HpmConfig(order=60, epsilon=Fraction(1, 2)))
+        flux = self.wall_fluxes(series, (10, 30, 60))
+        coarse, fine = (self.wall_flux(5.0, 0.5, h) for h in (1e-3, 5e-4))
+        oracle = (16 * fine - coarse) / 15
+        assert oracle == pytest.approx(0.4241449, abs=1e-7)
+        gaps = [abs(flux[n] - oracle) for n in (10, 30, 60)]
+        assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 1e-6, gaps
 
 
 class TestSeriesDocument:
