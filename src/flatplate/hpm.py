@@ -57,6 +57,10 @@ a build at a known eps does only the work of L.
 ``HpmConfig`` and ``HpmSeries`` are frozen records (see ``_record``): the
 dataclasses API works on them, but building a series never loads
 ``dataclasses``.
+
+``series_to_document`` writes a series as an exact JSON document, and its
+spelling is the only one: ``series_from_document`` reads a document, writes
+the series back and accepts it only if the two are equal.
 """
 
 from __future__ import annotations
@@ -435,66 +439,47 @@ def series_to_document(series: HpmSeries) -> dict:
     }
 
 
-def _integer(obj: dict, key: str) -> int:
-    """``obj[key]`` as :func:`series_to_document` writes it, else a ValueError
-    naming ``key``: order and power are JSON integers (no bool or float), num
-    and den the ``str`` of an int (no "+", "_", space, leading zero or
-    non-ASCII digit)."""
-    value = obj[key]
-    if key in ("order", "power"):
-        if type(value) is int:
-            return value
-        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
-    try:
-        if str(number := int(value)) == value:
-            return number
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{key!r} must be the decimal string of an integer, got {value!r}")
-
-
-def _rational(obj: dict) -> Fraction:
-    """``obj`` as the writer spells a rational: a positive ``den``, and
-    ``num`` and ``den`` in lowest terms."""
-    if (den := _integer(obj, "den")) <= 0:
-        raise ValueError(f"'den' must be positive, got {obj['den']!r}")
-    rational = Fraction(num := _integer(obj, "num"), den)
-    if rational.denominator != den:  # Fraction reduced it
-        raise ValueError(f"{num}/{den} is not in lowest terms")
-    return rational
-
-
-def _polynomial(terms: list[dict]) -> RationalPolynomial:
-    """A term list as the writer writes it: powers ascending, no zero coefficient."""
-    coeffs: dict[int, Fraction] = {}
-    last = 0
-    for term in terms:
-        try:
-            power, coeff = _integer(term, "power"), _rational(term)
-        except ValueError as exc:
-            raise ValueError(f"not a serialized polynomial term: {exc}") from None
-        if power in coeffs:
-            raise ValueError(f"serialized polynomial repeats power {power}")
-        if coeffs and power < last:
-            raise ValueError(f"serialized polynomial powers not ascending: {power} after {last}")
-        if not coeff:
-            raise ValueError(f"serialized polynomial has a zero coefficient at power {power}")
-        coeffs[power] = coeff
-        last = power
-    return RationalPolynomial(coeffs)
-
-
 def series_from_document(doc: dict) -> HpmSeries:
-    """Inverse of :func:`series_to_document`; round-trips bit-exactly, and
-    reads only what the writer writes: each integer as the writer spells it
-    (see ``_integer``), each rational in lowest terms, each term list
-    ascending with no zero coefficient.  So one series has one document."""
+    """Inverse of :func:`series_to_document`, which is also its one rule of
+    spelling.  The reader is lenient: ``HpmConfig`` checks the order (an int,
+    no bool), L and epsilon, ``int()`` reads each ``num`` and ``den``, and
+    ``RationalPolynomial`` each term list (int powers).  It then writes the
+    series back and accepts the document only if it is exactly what the
+    writer writes.  So a misspelled number ("007", "+3", "1_0", 3.0, true),
+    a rational not in lowest terms, a zero, repeated or out-of-order term
+    and a key the writer does not write, at top level or in a term, are all
+    rejected, and one series has one document.  The writer writes whatever
+    lists it is given, so corrections 0..order are read by index: a short
+    list fails there and a long one differs from the write-back.
+
+    Every rejection is a ValueError that names a field at fault: the first
+    one the records cannot read, else the first, in the writer's order, that
+    differs from the write-back: ``order``, ``L``, ``epsilon``, ``f[j]`` or
+    ``theta[j]``, or else a key the writer does not write.  No other
+    exception leaves the reader (``int()`` of an infinite float raises
+    OverflowError, which is caught with the rest).
+    """
+    def rational(obj: dict) -> Fraction:
+        return Fraction(int(obj["num"]), int(obj["den"]))
+
+    read: list = []  # order, L, epsilon, then the f and theta corrections
     try:
-        config = HpmConfig(_integer(doc, "order"), _rational(doc["L"]), _rational(doc["epsilon"]))
-        f_list = tuple(_polynomial(terms) for terms in doc["f"])
-        theta_list = tuple(_polynomial(terms) for terms in doc["theta"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a series document: missing or bad field ({exc})") from None
-    if len(f_list) != config.order + 1 or len(theta_list) != config.order + 1:
-        raise ValueError("series document correction lists do not match the stated order")
-    return HpmSeries(f_list, theta_list, config)
+        for field in ("order", "L", "epsilon"):
+            read.append(doc[field] if field == "order" else rational(doc[field]))
+            config = HpmConfig(*read)  # checks the fields read so far
+        for name in ("f", "theta"):
+            read.append([])
+            for j in range(config.order + 1):
+                field = f"{name}[{j}]"
+                read[-1].append(RationalPolynomial({t["power"]: rational(t) for t in doc[name][j]}))
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"series document rejected at {field}: {exc!r}") from None
+    series = HpmSeries(tuple(read[3]), tuple(read[4]), config)
+    written = series_to_document(series)
+    for key in {**written, **doc}:  # the writer's fields in its order, then any others
+        if key not in written or doc[key] != written[key]:
+            wanted = written.get(key)  # f and theta are located to the first correction
+            pairs = enumerate(zip(doc[key], wanted) if isinstance(wanted, list) else ())
+            j = next((f"[{j}]" for j, (got, want) in pairs if got != want), "")
+            raise ValueError(f"series document rejected at {key}{j}: not as the writer writes it")
+    return series

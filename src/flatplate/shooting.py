@@ -111,8 +111,9 @@ class Trajectory(_Record):
 class ShootingResult(_Record):
     __slots__ = ("s_star", "trajectory", "residual", "iterations")
 
-    # iterations: the RK4 passes the search for s* made: the march and one
-    # integration, and the first stored trajectory when a second Newton step follows
+    # iterations: the RK4 passes the search for s* made: the scaled search (its
+    # second march, if any, included) and one integration, and the first stored
+    # trajectory when a second Newton step follows
     def __init__(self, s_star: float, trajectory: Trajectory, residual: float, iterations: int):
         super().__init__(s_star, trajectory, residual, iterations)
 
@@ -183,7 +184,7 @@ def integrate_blasius(s: float, settings: IntegratorSettings) -> Trajectory:
 
 
 def _scaled_root(settings: IntegratorSettings) -> float:
-    """s* from one march of F with (F, F', F'')(0) = (0, 0, 1), storing nothing.
+    """s* from a march of F with (F, F', F'')(0) = (0, 0, 1), storing nothing.
 
     f(eta) = a F(a eta) solves the momentum equation with f''(0) = a^3, so
     f'(eta_max) = 1 becomes (xi/eta_max)^2 F'(xi) = 1 at xi = a eta_max.  The
@@ -193,24 +194,36 @@ def _scaled_root(settings: IntegratorSettings) -> float:
     The left side grows without bound, so the march ends after about
     a eta_max / h steps, below 1.34 n on every domain swept (n the caller's
     step count) and never past 2n, or at the first step where F' is negative
-    or not finite: there the step is too coarse for RK4 to stay stable.  The
-    root inside the last step is bisected on the cubic Hermite interpolant of
-    F' built from F' and F'' at its two ends.
+    or not finite: there the step is too coarse for RK4 to stay stable.
+
+    On long domains a < 1, so the caller's step in xi is a coarser step in
+    eta.  When that march goes unstable, one more march, with the same 2n
+    budget, steps a0 h in xi, with a0 = max(1/eta_max, 0.332)^(1/3): a lower
+    bound on a, since s(L) >= max(1/L, s(inf)), so its f-step a0 h/a is never
+    coarser than the caller's.  Below eta_max = 1 the two steps are equal and
+    one march is made; a march that stays stable is the only one, so every
+    search that solves without the retry is unchanged.  The root inside the
+    last step is bisected on the cubic Hermite interpolant of F' built from
+    F' and F'' at its two ends.
     """
     eta_max, budget = settings.eta_max, 2 * _steps(settings)[0]
-    h = settings.step * max(1.0, 1.0 / eta_max) ** (1.0 / 3.0)
-    xi, Fp, Fpp = 0.0, 0.0, 1.0
-    for xi1, _, Fp1, Fpp1 in _march(1.0, itertools.repeat(h, budget)):
-        reach = xi1 / eta_max
-        if not 0.0 <= reach * reach * Fp1 < 1.0:
+    first = settings.step * max(1.0, 1.0 / eta_max) ** (1.0 / 3.0)
+    retry = settings.step * max(1.0 / eta_max, 0.332) ** (1.0 / 3.0)  # a0 h
+    for h in dict.fromkeys((first, retry)):  # one march where the two steps are equal
+        xi, Fp, Fpp = 0.0, 0.0, 1.0
+        for xi1, _, Fp1, Fpp1 in _march(1.0, itertools.repeat(h, budget)):
+            reach = xi1 / eta_max
+            if not 0.0 <= reach * reach * Fp1 < 1.0:
+                break
+            xi, Fp, Fpp = xi1, Fp1, Fpp1
+        else:
+            raise ConvergenceError(
+                f"the scaled march needs more than {budget} steps at "
+                f"eta_max = {eta_max:g}, step = {settings.step:g}"
+            )
+        if 0.0 <= Fp1 < math.inf:
             break
-        xi, Fp, Fpp = xi1, Fp1, Fpp1
     else:
-        raise ConvergenceError(
-            f"the scaled march needs more than {budget} steps at "
-            f"eta_max = {eta_max:g}, step = {settings.step:g}"
-        )
-    if not 0.0 <= Fp1 < math.inf:
         raise ConvergenceError(
             f"the scaled march went unstable (F' = {Fp1:.3g} at xi = {xi1:.6g}); "
             f"step = {settings.step:g} is too coarse"

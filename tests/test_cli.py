@@ -212,6 +212,16 @@ class TestShootCommand:
         residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
         assert float(residual.group(1)) <= 1e-8
 
+    def test_long_domain_at_a_coarse_step_solves(self, capsys):
+        # the march at the caller's step in xi is f at about 0.116 in eta
+        # and goes unstable at xi = 56.4; the second march, at a0 h, solves
+        code, out, err = run(capsys, "shoot", "--eta-max", "100", "--step", "0.08",
+                             "--tol", "1e-8")
+        assert code == 0, err
+        assert "s* = 0.3320573 " in out
+        residual = re.search(r"residual \|f'\(eta_max\) - 1\| = (\S+)", out)
+        assert float(residual.group(1)) <= 1e-8
+
     def test_invalid_settings_exit_2(self, capsys):
         code, _, err = run(capsys, "shoot", "--step", "0")
         assert code == 2
@@ -696,6 +706,7 @@ class TestMainFuzz:
     @example(argv=["figure", "--svg", "{tmp}/out", "--grid", "0:1e-7:1"])
     @example(argv=["compare", "--probe", "-inf"])
     @example(argv=["series", "--domain-length", "1e-300"])
+    @example(argv=["shoot", "--eta-max", "100", "--step", "0.08"])
     def test_exit_code_without_traceback(self, out_dir, argv):
         argv = [arg.replace("{tmp}", str(out_dir)) for arg in argv]
         code, err = _run_main_quietly(argv)

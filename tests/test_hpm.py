@@ -52,6 +52,26 @@ TARGET_SUM = RationalPolynomial(
 )
 
 
+# Values a damaged document may hold in place of a written one: JSON's other
+# types, the floats json.loads reads (Infinity and NaN included), and
+# strings that int() reads but the writer never writes.
+DAMAGED_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.integers(-10, 10),
+    st.integers(-10, 10).map(str),
+    st.sampled_from(["007", "+3", " 3 ", "1_0", "\u0663", "-0", "", "1/2"]),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["num", "den", "power"]), st.integers(0, 3).map(str), max_size=2),
+)
+
+
+def rejected_at(field: str):
+    """pytest.raises for a series document that the reader rejects at ``field``."""
+    return pytest.raises(ValueError, match=rf"^series document rejected at {re.escape(field)}: ")
+
+
 class TestConfig:
     def test_rejects_zero_domain_length(self):
         with pytest.raises(ValueError, match="L > 0"):
@@ -1287,16 +1307,16 @@ class TestSeriesDocument:
         three as 3, and load the document."""
         doc = series_to_document(build_series(HpmConfig(order=order)))
         doc["order"] = value
-        with pytest.raises(ValueError, match="'order' must be a JSON integer"):
+        with rejected_at("order"):
             series_from_document(doc)
 
-    @pytest.mark.parametrize("value", [True, 1.0, 1.5, "1_1", "2"])
+    @pytest.mark.parametrize("value", [True, 1.0, 1.5, "1_1", "2", 2.0, 2.5])
     def test_rejects_a_power_that_is_not_an_integer(self, series_order3, value):
+        """int() would read True as 1 and 2.5 as 2."""
         doc = series_to_document(series_order3)
         assert doc["theta"][0][1]["power"] == 1  # theta_0 = 1 - eta/5
         doc["theta"][0][1]["power"] = value
-        message = "not a serialized polynomial term: 'power' must be a JSON integer"
-        with pytest.raises(ValueError, match=message):
+        with rejected_at("theta[0]"):
             series_from_document(doc)
 
     @pytest.mark.parametrize("value", ["1_0", " 3 ", "\u0663", "+3", "007", 5])
@@ -1307,23 +1327,38 @@ class TestSeriesDocument:
         doc = series_to_document(series_order3)
         rational = doc["f"][1][0] if where == "term" else doc[where]
         rational[key] = value
-        with pytest.raises(ValueError, match=f"'{key}' must be the decimal string of an integer"):
+        with rejected_at("f[1]" if where == "term" else where):
             series_from_document(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["num", "den"])
+    @pytest.mark.parametrize("where", ["L", "term"])
+    def test_rejects_a_number_that_is_not_finite(self, series_order3, where, key, value):
+        """json.loads reads Infinity and NaN, and int() of an infinite float
+        raises OverflowError, not ValueError."""
+        doc = series_to_document(series_order3)
+        rational = doc["f"][1][0] if where == "term" else doc[where]
+        rational[key] = value
+        text = json.dumps(doc)  # Infinity, -Infinity or NaN
+        with rejected_at("f[1]" if where == "term" else where):
+            series_from_document(json.loads(text))
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("where", ["L", "term"])
     def test_rejects_a_denominator_that_is_not_positive(self, series_order3, where, value):
+        """Fraction() would move the sign of "-3" to the numerator."""
         doc = series_to_document(series_order3)
         rational = doc["f"][1][0] if where == "term" else doc[where]
         rational["den"] = value
-        with pytest.raises(ValueError, match="'den' must be positive"):
+        with rejected_at("f[1]" if where == "term" else where):
             series_from_document(doc)
 
     def test_rejects_a_repeated_power(self, series_order3):
-        # appended after power 5, so a repeat is named before the order is
+        """RationalPolynomial would keep the last of two terms of one power
+        and load the document."""
         doc = series_to_document(series_order3)
         doc["f"][1].append({**doc["f"][1][0], "num": "7"})
-        with pytest.raises(ValueError, match="repeats power 2"):
+        with rejected_at("f[1]"):
             series_from_document(doc)
 
     @pytest.mark.parametrize("where", ["L", "epsilon", "term"])
@@ -1331,9 +1366,9 @@ class TestSeriesDocument:
         """Fraction() would reduce L = 10/2 to 5 and load the document."""
         doc = series_to_document(series_order3)
         rational = doc["f"][1][0] if where == "term" else doc[where]
-        rational["num"] = num = str(2 * int(rational["num"]))
-        rational["den"] = den = str(2 * int(rational["den"]))
-        with pytest.raises(ValueError, match=f"(^|: ){num}/{den} is not in lowest terms$"):
+        rational["num"] = str(2 * int(rational["num"]))
+        rational["den"] = str(2 * int(rational["den"]))
+        with rejected_at("f[1]" if where == "term" else where):
             series_from_document(doc)
 
     @pytest.mark.parametrize("den", ["1", "7"])
@@ -1341,8 +1376,7 @@ class TestSeriesDocument:
         """RationalPolynomial would drop the term and load the document."""
         doc = series_to_document(series_order3)
         doc["f"][1].append({"power": 40, "num": "0", "den": den})
-        message = "zero coefficient at power 40" if den == "1" else "0/7 is not in lowest terms"
-        with pytest.raises(ValueError, match=message):
+        with rejected_at("f[1]"):
             series_from_document(doc)
 
     @pytest.mark.parametrize("component", ["f", "theta"])
@@ -1351,13 +1385,28 @@ class TestSeriesDocument:
         terms = doc[component][1]
         assert len(terms) > 1
         terms.reverse()
-        with pytest.raises(ValueError, match="powers not ascending"):
+        with rejected_at(f"{component}[1]"):
             series_from_document(doc)
 
     def test_rejects_wrong_list_length(self, series_order3):
+        """The writer writes whatever lists it is given, so the reader reads
+        corrections 0..order: a short list fails at the first one missing,
+        a long one at the list."""
         doc = series_to_document(series_order3)
         doc["order"] = 2
-        with pytest.raises(ValueError):
+        with rejected_at("f"):
+            series_from_document(doc)
+        doc["order"] = 4
+        with rejected_at("f[4]"):
+            series_from_document(doc)
+
+    @pytest.mark.parametrize("where", ["top level", "L", "term"])
+    def test_rejects_a_field_the_writer_does_not_write(self, series_order3, where):
+        """Every field the writer writes is as it writes it; an extra one
+        would load, and one series would have many documents."""
+        doc = series_to_document(series_order3)
+        {"top level": doc, "L": doc["L"], "term": doc["theta"][2][1]}[where]["note"] = "x"
+        with rejected_at({"top level": "note", "L": "L", "term": "theta[2]"}[where]):
             series_from_document(doc)
 
     @pytest.mark.parametrize("damage", ["empty", "no theta", "f is an int"])
@@ -1369,5 +1418,35 @@ class TestSeriesDocument:
             del doc["theta"]
         else:
             doc["f"] = 3
-        with pytest.raises(ValueError, match="^not a series document: missing or bad field"):
+        with rejected_at({"empty": "order", "no theta": "theta[0]", "f is an int": "f[0]"}[damage]):
             series_from_document(doc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(order=st.integers(0, 3), L=POSITIVE_RATIONALS, data=st.data())
+    def test_reads_only_what_the_writer_writes_back(self, order, L, data):
+        """Damage one part of a written document: the reader either rejects
+        it with a ValueError or returns a series whose document is the
+        damaged one, so no two documents read as one series."""
+        doc = series_to_document(build_series(HpmConfig(order, L, Fraction(7, 10))))
+        term_lists = [terms for key in ("f", "theta") for terms in doc[key]]
+        terms = [term for terms in term_lists for term in terms]
+        damage = data.draw(st.sampled_from(["value", "delete", "add", "reverse", "repeat"]))
+        if damage in ("reverse", "repeat"):
+            chosen = data.draw(st.sampled_from(term_lists))
+            if damage == "repeat":
+                chosen.extend(chosen[:1])
+            else:
+                chosen.reverse()
+        else:
+            containers = [doc, doc["L"], doc["epsilon"], *terms]
+            container = data.draw(st.sampled_from(containers))
+            key = data.draw(st.sampled_from([*container, "note"] if damage == "add" else [*container]))
+            if damage == "delete":
+                del container[key]
+            else:
+                container[key] = data.draw(DAMAGED_VALUES)
+        try:
+            series = series_from_document(doc)
+        except ValueError:
+            return
+        assert series_to_document(series) == doc

@@ -48,7 +48,8 @@ SWEEP_RATIOS = (3, 10, 1000)  # eta_max/step
 
 # The fixed-step search: the scaled march at the caller's step on every
 # domain, with a budget of MAX_STEPS (float.hex; None: it raised).  From
-# eta_max = 1 up its s*:
+# eta_max = 1 up its s*, where that march stays stable; where it goes
+# unstable, the s* of the second march, at a0 h:
 FIXED_STEP_SEARCH = {
     (1.0, 3): "0x1.056b24459983dp+0",
     (1.0, 10): "0x1.056a8bedc40c2p+0",
@@ -59,8 +60,8 @@ FIXED_STEP_SEARCH = {
     (3.0, 3): "0x1.9f35a00550c1ap-2",
     (3.0, 10): "0x1.9e45244be2a60p-2",
     (3.0, 1000): "0x1.9e4247827ef95p-2",
-    (10.0, 3): None,  # unstable at xi = 6.67
-    (10.0, 10): None,  # unstable at xi = 7
+    (10.0, 3): None,  # unstable at xi = 6.67, and at 4.62 in the second march
+    (10.0, 10): "0x1.57b636bfbe95fp-2",  # the first march unstable at xi = 7
     (10.0, 1000): "0x1.5406d6aed0c79p-2",
 }
 # below it the solved s* and its residual:
@@ -322,27 +323,29 @@ class TestShooting:
             solve_shooting(IntegratorSettings(eta_max=1e100, step=1e100))
 
     def test_unstable_march_stops_at_negative_slope(self):
-        # at this step the march turns F' negative near xi = 45.5 and would
-        # never reach the far condition, so it must stop there, not at its
-        # budget of twice the caller's 1000 steps
+        # at this step the march turns F' negative at xi = 45.5, and the
+        # second march, at a0 h, at xi = 64.95 (the caller's own problem
+        # diverges near eta = 94); neither would reach the far condition, so
+        # each must stop there, not at its budget of twice the caller's 1000 steps
         with pytest.raises(ConvergenceError, match="too coarse"):
             solve_shooting(IntegratorSettings(eta_max=100.0, step=0.1))
 
     @pytest.mark.parametrize("eta_max", SWEEP_ETA_MAX)
     @pytest.mark.parametrize("ratio", SWEEP_RATIOS)
     def test_search_sweep(self, monkeypatch, eta_max, ratio):
-        # the search yields at most 2n states of the caller's n; from
-        # eta_max = 1 up it is bit-equal to the fixed-step search, and below
-        # it solves wherever that one did
+        # each march yields at most 2n states of the caller's n, and a second
+        # march follows only an unstable first one; from eta_max = 1 up the
+        # search is bit-equal to the fixed-step search where that is stable,
+        # and below it solves wherever that one did
         settings = IntegratorSettings(eta_max=eta_max, step=eta_max / ratio)
         n = shooting._steps(settings)[0]
-        yielded = []
+        yielded = []  # F' of each state, one list per march
         march = shooting._march
 
         def counted(s, steps):
-            yielded.append(0)
+            yielded.append([])
             for state in march(s, steps):
-                yielded[-1] += 1
+                yielded[-1].append(state[2])
                 yield state
 
         monkeypatch.setattr(shooting, "_march", counted)
@@ -350,7 +353,9 @@ class TestShooting:
             search = shooting._scaled_root(settings).hex()
         except ConvergenceError:
             search = None
-        assert yielded == [yielded[0]] and yielded[0] <= 2 * n
+        assert len(yielded) in (1, 2) and all(len(slopes) <= 2 * n for slopes in yielded)
+        if len(yielded) == 2:
+            assert not 0.0 <= yielded[0][-1] < math.inf
         if eta_max >= 1.0:
             assert search == FIXED_STEP_SEARCH[eta_max, ratio]
             return
@@ -365,7 +370,9 @@ class TestShooting:
 
     @pytest.mark.parametrize("step", [1.0, 2.0])
     def test_too_coarse_step_raises(self, step):
-        # step 1 lands on a residual above tol, step 2 on a negative g'(s)
+        # at step 1 the second march solves, and one Newton step and a
+        # second leave a residual of 0.000147; at step 2 both marches go
+        # unstable
         with pytest.raises(ConvergenceError):
             solve_shooting(IntegratorSettings(step=step))
 
