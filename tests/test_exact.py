@@ -175,6 +175,16 @@ class TestPolynomialBasics:
         assert obj[0] == {"power": 2, "num": "1348969", "den": "7741440"}
         assert series_from_document(doc).f_corrections == (TARGET_POLY,)
 
+    @pytest.mark.parametrize("powers", [[True], [2, 2]], ids=["bool", "repeated"])
+    def test_from_obj_reads_powers_strictly(self, powers):
+        """A power is a JSON integer: int() would read True as 1, and a
+        repeated power would overwrite a term.  The reader names the
+        correction at fault."""
+        doc = polynomial_document(RationalPolynomial())
+        doc["f"][0] = [{"power": p, "num": str(n), "den": "1"} for n, p in enumerate(powers, 1)]
+        with pytest.raises(ValueError, match=r"^series document rejected at f\[0\]: "):
+            series_from_document(doc)
+
 
 # random sparse polynomials: powers 0..8, modest rational coefficients
 coefficients = st.fractions(
